@@ -41,8 +41,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Concurrency cross-validation: two streaming campaigns race through a
-# shared campaign.Runner at MaxParallel 4 under the race detector, and
+# Concurrency cross-validation: two campaigns race through a shared
+# campaign.Runner at MaxParallel 4, once per plan mode (8 shards: count
+# pass; 4 shards: in-pool planning), under the race detector, and
 # the concurrency-bearing packages must come back clean from lockguard
 # and golifetime — the dynamic and static halves of the same claim.
 racestress:

@@ -42,8 +42,8 @@ func benchSetup(b *testing.B) (*Survey, analysis.Input) {
 		benchInput = analysis.Input{
 			Hits: s.Scanner.Hits, Partials: s.Scanner.Partials,
 			Targets:      s.Scanner.Targets,
-			ScannerAddrs: []netip.Addr{s.World.ScannerAddr4, s.World.ScannerAddr6},
-			Reg:          s.World.Reg, Geo: s.Geo,
+			ScannerAddrs: []netip.Addr{s.Scanner.Addr4, s.Scanner.Addr6},
+			Reg:          s.Scanner.Reg, Geo: s.Geo,
 		}
 	})
 	return benchSurvey, benchInput
@@ -63,7 +63,7 @@ func BenchmarkHeadlineReachabilitySharded(b *testing.B) {
 }
 
 // BenchmarkHeadlineReachability1M scales the headline survey to 1M+
-// candidate targets under the streaming engine: the population is a
+// candidate targets over a streaming population: the population is a
 // ditl.View (specs synthesized per shard, never all resident), each
 // shard's world is discarded as soon as its observations reduce, and
 // peak memory is per-shard — which is what lets this population run at
@@ -115,6 +115,7 @@ func BenchmarkHeadlineReachabilityPaperScale(b *testing.B) {
 			Scanner:     scanner.Config{Seed: int64(i) + 1, Rate: 20_000_000},
 			Shards:      256,
 			MaxParallel: 2,
+			Stream:      true,
 			Fold:        true,
 		})
 		if err != nil {

@@ -43,9 +43,9 @@ func main() {
 		shards   = flag.Int("shards", -1, "parallel simulation shards (-1 = one per CPU, 1 = serial); results are identical at any value")
 		chaosOn  = flag.Bool("chaos", false, "inject the deterministic fault schedule (link flap, dup/reorder/corrupt, resolver crashes, clock skew)")
 		invar    = flag.Bool("invariants", true, "check simulation invariants on every delivery and cache event")
-		stream   = flag.Bool("stream", false, "stream the population: synthesize each shard's ASes on demand and discard each world after its observations reduce (identical results, per-shard peak memory)")
-		fold     = flag.Bool("fold", false, "external-merge reduce (implies -stream): spill each shard's sorted hit run to disk and stream the hierarchical merge through the reducers; peak memory stays per-shard through the report")
-		maxPar   = flag.Int("maxparallel", 0, "with -stream, max concurrently live shard simulations (0 = one per CPU); the peak-memory knob")
+		stream   = flag.Bool("stream", false, "synthesize each shard's ASes on demand from a streaming population view instead of materializing the population (identical results; with -fold, peak memory stays per-shard)")
+		fold     = flag.Bool("fold", false, "external-merge reduce: spill each shard's sorted hit run to disk and stream the hierarchical merge through the reducers instead of materializing merged buffers (identical results)")
+		maxPar   = flag.Int("maxparallel", 0, "max concurrently live shard worlds in every run (0 = one per CPU); the peak-memory knob. When -shards fits, each shard is planned once in its own world; otherwise a world-free count pass plans first")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -91,7 +91,7 @@ func main() {
 	}
 
 	cfg := doors.SurveyConfig{
-		Campaign: c,
+		Campaign:   c,
 		Population: ditl.Params{Seed: *seed, ASes: *ases},
 		World: world.Options{
 			Seed: *seed + 1, LossRate: *loss,

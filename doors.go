@@ -25,13 +25,11 @@
 package doors
 
 import (
-	"net/netip"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/ditl"
-	"repro/internal/geo"
 	"repro/internal/scanner"
 	"repro/internal/world"
 )
@@ -61,25 +59,24 @@ type SurveyConfig struct {
 	// identity rather than drawn from shared streams, so the merged
 	// survey — targets, hits, report — is identical at any shard count.
 	Shards int
-	// Stream runs the memory-flat engine: RunSurvey synthesizes the
-	// population as a streaming ditl.View instead of materializing it,
-	// and each shard's world lives only while its worker simulates it —
-	// observations reduce incrementally and the world is discarded, so
-	// peak memory is per-shard, not per-population. The survey is
-	// bit-identical to the retained engine's; Survey.World and
-	// Survey.Worlds are nil in this mode.
+	// Stream chooses the population representation: RunSurvey
+	// synthesizes a streaming ditl.View, whose shards re-synthesize
+	// their ASes on demand, instead of materializing the population
+	// with ditl.Generate. It changes no result, only memory: pair it
+	// with Fold (and a MaxParallel below Shards) for per-shard peak
+	// memory at any population size. RunSurveyOn ignores it.
 	Stream bool
-	// MaxParallel bounds how many shard simulations are live at once in
-	// Stream mode (the peak-memory knob); 0 picks GOMAXPROCS.
+	// MaxParallel bounds how many shard worlds are live at once in every
+	// run (the peak-memory knob); 0 picks GOMAXPROCS. When every shard
+	// fits (Shards ≤ MaxParallel), each shard is planned once, in its
+	// own world; otherwise a world-free count pass plans first.
 	MaxParallel int
-	// Fold extends Stream with the external-merge reduce path: each
-	// shard's sorted hit run spills to a temporary run file as the
-	// shard finishes, and the final reduce streams the hierarchical
-	// k-way merge of those files through the reducers — peak residency
-	// stays O(live shards) all the way through the Report. The Report
-	// is bit-identical to the other engines'; Survey.Scanner's Targets,
-	// Hits and Partials are nil (Stats still carries the counts).
-	// Implies Stream.
+	// Fold selects the external-merge reduce: each shard's sorted hit
+	// run spills to a temporary run file as the shard finishes, and the
+	// final reduce streams the hierarchical k-way merge of those files
+	// through the reducers instead of materializing merged buffers. The
+	// Report is bit-identical; Survey.Scanner's Targets, Hits and
+	// Partials are nil (Stats still carries the counts).
 	Fold bool
 	// Chaos, when Enabled, subjects the survey to a deterministic fault
 	// schedule (link flap, duplication, reordering, corruption, resolver
@@ -104,7 +101,6 @@ func (c SurveyConfig) engineConfig() campaign.Config {
 		LifetimeThreshold: c.LifetimeThreshold,
 		ChurnFraction:     c.ChurnFraction,
 		Shards:            c.Shards,
-		Stream:            c.Stream,
 		MaxParallel:       c.MaxParallel,
 		Fold:              c.Fold,
 		Chaos:             c.Chaos,
@@ -115,33 +111,13 @@ func (c SurveyConfig) engineConfig() campaign.Config {
 // Survey is a completed run: the campaign runner's Result.
 type Survey = campaign.Result
 
-// CandidateAddrs lists every DITL-derived candidate target (live
-// resolvers and dead addresses alike; the scanner cannot tell them
-// apart, §3.6.2).
-func CandidateAddrs(pop ditl.Pop) []netip.Addr {
-	return campaign.CandidateAddrs(pop, nil)
-}
-
-// V6HitList derives the IPv6 hit list (§3.2, [21]) from the population:
-// the /64s of every known-active v6 address (live resolvers and
-// once-seen dead targets alike — activity, not liveness).
-func V6HitList(pop ditl.Pop) map[netip.Prefix]bool {
-	return campaign.V6HitList(pop)
-}
-
-// GeoDB builds the country database from the population's AS
-// assignments (standing in for MaxMind GeoLite2, §4).
-func GeoDB(pop ditl.Pop) *geo.DB {
-	return campaign.GeoDB(pop)
-}
-
 // RunSurvey generates a population, builds the world, runs the probing
 // experiment to completion, and analyzes the authoritative logs. With
 // cfg.Stream it never materializes the population: shards synthesize
 // their ASes on demand from a ditl.View over the same seed, producing
-// the identical survey under per-shard memory.
+// the identical survey.
 func RunSurvey(cfg SurveyConfig) (*Survey, error) {
-	if cfg.Stream || cfg.Fold {
+	if cfg.Stream {
 		return RunSurveyOn(ditl.NewView(cfg.Population), cfg)
 	}
 	return RunSurveyOn(ditl.Generate(cfg.Population), cfg)

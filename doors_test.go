@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/campaign"
 	"repro/internal/ditl"
 	"repro/internal/scanner"
 	"repro/internal/world"
@@ -55,7 +56,7 @@ func TestSmallSurveyEndToEnd(t *testing.T) {
 			dsav[uint32(as.ASN)] = true
 		}
 	})
-	scannerAddrs := []netip.Addr{s.World.ScannerAddr4, s.World.ScannerAddr6}
+	scannerAddrs := []netip.Addr{s.Scanner.Addr4, s.Scanner.Addr6}
 	for _, h := range s.Scanner.Hits {
 		if h.Lifetime > 10*time.Second || !dsav[uint32(h.ASN)] {
 			continue
@@ -154,7 +155,7 @@ func TestOptOutSuppressesProbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Admit(CandidateAddrs(pop))
+	sc.Admit(campaign.CandidateAddrs(pop, nil))
 
 	// The operator of the first no-DSAV AS requests removal mid-setup.
 	var optedOut *ditl.ASSpec

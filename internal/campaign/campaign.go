@@ -54,7 +54,11 @@ type Phase interface {
 	// Plan precomputes the phase's probe set for the shard and returns
 	// the number of probes it will schedule. Plans run on every shard
 	// before any scheduling, so the campaign window can derive from the
-	// survey-wide probe total.
+	// survey-wide probe total. Under the runner's count pass Plan also
+	// runs once on a world-free Shard (World nil, Scanner a host-less
+	// planner) and again in the shard's world, so it may read only the
+	// targets, the registry and the config, and must count the same
+	// both times.
 	Plan(sh *Shard) int
 	// Schedule enqueues the planned probes. window is the survey-wide
 	// campaign duration — identical at every shard count — and all probe

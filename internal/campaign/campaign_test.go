@@ -2,6 +2,10 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,28 +15,43 @@ import (
 	"repro/internal/world"
 )
 
+// callLog collects the runner's phase calls; shards planned in the
+// pool call in from several workers at once.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *callLog) add(format string, args ...any) {
+	l.mu.Lock()
+	l.calls = append(l.calls, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *callLog) String() string { return fmt.Sprint(l.calls) }
+
 // fakePhase records the runner's calls into a shared log and
 // contributes a counting reducer under a (possibly shared) name.
 type fakePhase struct {
 	name    string
 	reducer string
-	log     *[]string
+	log     *callLog
 	runs    *int
 }
 
 func (p fakePhase) Name() string { return p.name }
 
 func (p fakePhase) Plan(sh *Shard) int {
-	*p.log = append(*p.log, fmt.Sprintf("%s.plan[%d]", p.name, sh.Index))
+	p.log.add("%s.plan[%d]", p.name, sh.Index)
 	return 0
 }
 
 func (p fakePhase) Schedule(sh *Shard, _ time.Duration) {
-	*p.log = append(*p.log, fmt.Sprintf("%s.sched[%d]", p.name, sh.Index))
+	p.log.add("%s.sched[%d]", p.name, sh.Index)
 }
 
 func (p fakePhase) Observe(sh *Shard) {
-	*p.log = append(*p.log, fmt.Sprintf("%s.obs[%d]", p.name, sh.Index))
+	p.log.add("%s.obs[%d]", p.name, sh.Index)
 }
 
 func (p fakePhase) Reducers() []analysis.Reducer {
@@ -49,17 +68,17 @@ func tinyConfig() Config {
 // in phase-list order.
 func TestRunnerPhaseOrdering(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log []string
+	log := &callLog{}
 	runs := 0
 	c := &Campaign{Name: "fake", Phases: []Phase{
-		fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
-		fakePhase{name: "b", reducer: "rb", log: &log, runs: &runs},
+		fakePhase{name: "a", reducer: "ra", log: log, runs: &runs},
+		fakePhase{name: "b", reducer: "rb", log: log, runs: &runs},
 	}}
 	if _, err := Run(c, pop, tinyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a.plan[0]", "b.plan[0]", "a.sched[0]", "b.sched[0]", "a.obs[0]", "b.obs[0]"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
+	if log.String() != fmt.Sprint(want) {
 		t.Fatalf("call order = %v, want %v", log, want)
 	}
 	if runs != 2 {
@@ -67,24 +86,52 @@ func TestRunnerPhaseOrdering(t *testing.T) {
 	}
 }
 
-// TestRunnerPlansAllShardsFirst checks the cross-shard ordering: with
-// K=2 both shards plan before either schedules, so no shard's timing
-// can depend on its own probe count alone.
+// TestRunnerPlansAllShardsFirst checks the cross-shard ordering in both
+// plan modes: with K=2 both shards plan before either schedules, so no
+// shard's timing can depend on its own probe count alone.
 func TestRunnerPlansAllShardsFirst(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log []string
-	runs := 0
-	c := &Campaign{Name: "fake", Phases: []Phase{
-		fakePhase{name: "a", reducer: "ra", log: &log, runs: &runs},
-	}}
-	cfg := tinyConfig()
-	cfg.Shards = 2
-	if _, err := Run(c, pop, cfg); err != nil {
-		t.Fatal(err)
+	run := func(maxParallel int) []string {
+		t.Helper()
+		log := &callLog{}
+		runs := 0
+		c := &Campaign{Name: "fake", Phases: []Phase{
+			fakePhase{name: "a", reducer: "ra", log: log, runs: &runs},
+		}}
+		cfg := tinyConfig()
+		cfg.Shards, cfg.MaxParallel = 2, maxParallel
+		if _, err := Run(c, pop, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return log.calls
 	}
-	want := []string{"a.plan[0]", "a.plan[1]", "a.sched[0]", "a.obs[0]", "a.sched[1]", "a.obs[1]"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
-		t.Fatalf("call order = %v, want %v", log, want)
+
+	// Count pass (2 shards, 1 slot): the world-free planners plan both
+	// shards first, then the one worker re-plans and simulates each
+	// shard in index order.
+	want := []string{"a.plan[0]", "a.plan[1]", "a.plan[0]", "a.sched[0]", "a.obs[0]", "a.plan[1]", "a.sched[1]", "a.obs[1]"}
+	if got := run(1); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("count pass: call order = %v, want %v", got, want)
+	}
+
+	// In-pool planning (2 shards, 2 slots): each shard plans once, both
+	// before either schedules; the workers then interleave freely, but
+	// each schedules before it arms its hooks.
+	got := run(2)
+	if len(got) != 6 {
+		t.Fatalf("in-pool: calls = %v, want 6", got)
+	}
+	first := got[:2]
+	sort.Strings(first)
+	if fmt.Sprint(first) != fmt.Sprint([]string{"a.plan[0]", "a.plan[1]"}) {
+		t.Fatalf("in-pool: calls = %v, want both plans first", got)
+	}
+	for _, k := range []int{0, 1} {
+		sched := slices.Index(got, fmt.Sprintf("a.sched[%d]", k))
+		obs := slices.Index(got, fmt.Sprintf("a.obs[%d]", k))
+		if sched < 2 || obs < sched {
+			t.Fatalf("in-pool: calls = %v, want shard %d to schedule then observe", got, k)
+		}
 	}
 }
 
@@ -93,11 +140,11 @@ func TestRunnerPlansAllShardsFirst(t *testing.T) {
 // into Report counters, so a duplicate run would double-count.
 func TestReduceMergeDeduplicates(t *testing.T) {
 	pop := ditl.Generate(ditl.Params{Seed: 1, ASes: 4})
-	var log []string
+	log := &callLog{}
 	runs := 0
 	c := &Campaign{Name: "fake", Phases: []Phase{
-		fakePhase{name: "a", reducer: "shared", log: &log, runs: &runs},
-		fakePhase{name: "b", reducer: "shared", log: &log, runs: &runs},
+		fakePhase{name: "a", reducer: "shared", log: log, runs: &runs},
+		fakePhase{name: "b", reducer: "shared", log: log, runs: &runs},
 	}}
 	if _, err := Run(c, pop, tinyConfig()); err != nil {
 		t.Fatal(err)
@@ -199,5 +246,41 @@ func TestInboundSAVPlanState(t *testing.T) {
 	}
 	if res.Scanner.Stats.ProbesSent == 0 {
 		t.Fatal("sent no probes")
+	}
+}
+
+// brokenPop hands the shard world builds (never the population-wide
+// sweeps, which pass nil indices) ASes the registry does not know, for
+// the population indices in [lo, hi).
+type brokenPop struct {
+	ditl.Pop
+	lo, hi int
+}
+
+func (p brokenPop) EachAS(indices []int, fn func(i int, as *ditl.ASSpec)) {
+	p.Pop.EachAS(indices, func(i int, as *ditl.ASSpec) {
+		if indices != nil && i >= p.lo && i < p.hi {
+			unknown := *as
+			unknown.ASN = 4_000_000_000
+			as = &unknown
+		}
+		fn(i, as)
+	})
+}
+
+// TestShardErrorNamesShard checks that a failing shard's error says
+// which shard failed: shard 1 of 3 cannot build its world, and Run's
+// error names the shard, its population AS range and the population
+// seed, in both plan modes.
+func TestShardErrorNamesShard(t *testing.T) {
+	pop := brokenPop{Pop: ditl.Generate(ditl.Params{Seed: 5, ASes: 9}), lo: 3, hi: 6}
+	for _, maxParallel := range []int{1, 3} {
+		cfg := tinyConfig()
+		cfg.Shards, cfg.MaxParallel = 3, maxParallel
+		_, err := Run(nil, pop, cfg)
+		const want = "campaign: shard 1 (ASes [3,6), seed 5): "
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("maxparallel=%d: err = %v, want prefix %q", maxParallel, err, want)
+		}
 	}
 }

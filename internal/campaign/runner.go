@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/ditl"
 	"repro/internal/geo"
+	"repro/internal/netsim"
 	"repro/internal/resolver"
 	"repro/internal/routing"
 	"repro/internal/runs"
@@ -41,31 +42,22 @@ type Config struct {
 	// identity rather than drawn from shared streams, so the merged
 	// Result — targets, hits, report — is identical at any shard count.
 	Shards int
-	// Stream runs the memory-flat engine: each shard's world is built
-	// (typically from a ditl.View, which synthesizes specs on demand)
-	// only when its worker starts, its observations are partitioned the
-	// moment its simulation finishes, and the world is discarded before
-	// the merge — peak residency is the largest set of concurrently
-	// live shards, not the population. The merged Result is
-	// bit-identical to the retained engine's; the trade-off is that
-	// Result.World and Result.Worlds are nil (Result.Scanner carries
-	// the merged buffers, registry, and scanner addresses).
-	Stream bool
-	// MaxParallel bounds how many shard simulations are live at once in
-	// Stream mode — it is the peak-memory knob: RSS scales with
-	// MaxParallel × shard size. 0 picks runtime.GOMAXPROCS(0). Ignored
-	// by the retained engine, which holds every shard at once.
+	// MaxParallel bounds how many shard worlds are live at once — it is
+	// the peak-memory knob: RSS scales with MaxParallel × shard size.
+	// 0 picks runtime.GOMAXPROCS(0). It bounds every run, and it picks
+	// the plan mode (see Run): when every shard fits in the pool, each
+	// shard is planned once, in its own world.
 	MaxParallel int
-	// Fold extends Stream with the external-merge reduce path: each
-	// shard's sorted hit run spills to a temporary run file the moment
-	// the shard finishes, and the final reduce streams the hierarchical
-	// k-way merge of those files through the reducers instead of
-	// materializing merged buffers. Peak residency stays O(live shards)
-	// all the way through Report — nothing after a shard's simulation
-	// holds O(total targets) state. The Report is bit-identical to the
-	// other engines'; the trade-off is that Result.Scanner's Targets,
-	// Hits and Partials are nil (Stats still carries the counts, and
-	// reducers saw exactly the canonical sequences). Implies Stream.
+	// Fold selects the external-merge reduce: each shard's sorted hit
+	// run spills to a temporary run file the moment the shard finishes,
+	// and the final reduce streams the hierarchical k-way merge of those
+	// files through the reducers instead of materializing merged
+	// buffers. Over a streaming population (ditl.View) nothing after a
+	// shard's simulation then holds O(total targets) state. The Report
+	// is bit-identical either way; the trade-off is that
+	// Result.Scanner's Targets, Hits and Partials are nil (Stats still
+	// carries the counts, and reducers saw exactly the canonical
+	// sequences).
 	Fold bool
 	// Chaos, when Enabled, subjects the campaign to a deterministic
 	// fault schedule keyed on causal identity. Infrastructure ASes (as
@@ -102,15 +94,11 @@ type Result struct {
 	// Campaign is the phase list that ran.
 	Campaign   *Campaign
 	Population ditl.Pop
-	// World is the first shard's world (they share scanner addresses,
-	// registry, and global public-DNS addressing); Worlds lists every
-	// shard's world. Both are nil under Config.Stream — the streaming
-	// engine discards each world as soon as its shard's observations
-	// are partitioned.
-	World  *world.World
-	Worlds []*world.World
 	// Scanner holds the merged results: Targets, Hits, Partials and
-	// Stats aggregated across shards in canonical order.
+	// Stats aggregated across shards in canonical order, plus the
+	// scanner addresses, registry and config every shard shared. It has
+	// no host behind it: the shard worlds are discarded as each shard's
+	// observations are partitioned.
 	Scanner *scanner.Scanner
 	Report  *analysis.Report
 	Geo     *geo.DB
@@ -125,10 +113,11 @@ type Result struct {
 	Duration time.Duration
 
 	// ResolverStats sums every simulated resolver's counters across all
-	// shards — the server-side complement to Scanner.Stats. Shards
-	// contribute as their simulations finish, in any order; the total
-	// is deterministic because stats addition is commutative.
+	// shards — the server-side complement to Scanner.Stats. Drops sums
+	// the simulators' per-reason drop counters the same way. Both are
+	// sums, so they are identical at any shard count.
 	ResolverStats resolver.Stats
+	Drops         netsim.Drops
 
 	// Invariants is the merged invariant-checker report (nil when the
 	// checker was disabled).
@@ -222,24 +211,34 @@ func (r *Runner) registryFor(pop ditl.Pop, opts world.Options) (*routing.Registr
 	return reg, nil
 }
 
-// Run executes the campaign over the population: build each shard's
-// world, drive every phase through Plan → Schedule → Observe, run the
-// shard simulations in parallel, partition each shard's observations as
-// its simulation finishes, and merge the partial reductions plus the
-// canonically ordered buffers into the Report with the phases'
-// deduplicated reducer set. c == nil runs the default survey campaign.
+// Run executes the campaign over the population through one shard
+// pipeline — plan pass, worker pool, reduce — and returns the merged
+// Result. c == nil runs the default survey campaign.
 //
-// With Shards > 1 the population's ASes are partitioned into
-// contiguous shards, each simulated in its own world (own event queue,
-// own scanner instance) on its own goroutine over one shared read-only
-// routing registry. Probe timing is computed from the campaign-wide
-// probe total before any shard schedules, and the shard-local result
-// buffers are merged in canonical order afterwards, so the campaign is
-// deterministic: the same seeds produce the same Report at any shard
-// count, including 1.
+// The population's ASes are partitioned into Shards contiguous shards,
+// each simulated in its own world (own event queue, own scanner
+// instance) over one shared read-only routing registry, at most
+// MaxParallel at once. Probe timing derives from the campaign-wide
+// probe total, fixed before any shard schedules, and the shard outputs
+// merge in canonical order afterwards, so the same seeds produce the
+// same Report at any shard count and any MaxParallel, including 1.
 //
-// Config.Stream selects the memory-flat engine (see runStreaming); the
-// default retains every shard's world on the Result.
+// The plan pass has two modes, chosen by whether every shard fits in
+// the pool at once (ShardCount() ≤ MaxParallel):
+//
+//   - In-pool planning: each worker builds its shard's world, admits
+//     and plans, and reports its probe count; once every shard has
+//     planned, the runner hands the workers the campaign window and
+//     each simulates the shard it planned. Each shard is planned once.
+//   - Count pass: the runner first admits and plans every shard on a
+//     host-less planner (no world), one shard at a time, to sum the
+//     probe count; each worker then builds, re-admits and re-plans its
+//     shard. Peak residency stays MaxParallel worlds.
+//
+// Each worker schedules, simulates, seals and partitions its shard and
+// keeps only a shardOut; the world is garbage before the worker takes
+// its next shard. Config.Fold selects where the reduce reads the sealed
+// hit runs from: memory, or the run files each shard spills.
 func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	r.mu.Lock()
 	r.active++
@@ -253,14 +252,10 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	if c == nil {
 		c = NewSurvey()
 	}
-	// The streaming engines derive the IPv6 hit list in a dedicated
-	// view sweep up front: every shard's planner needs the complete
-	// list before any Plan, and the per-shard admission sweeps run
-	// concurrently later. The retained engine builds all shards
-	// sequentially anyway, so it accumulates the list during the
-	// admission sweep itself (see runRetained) — one pass over the view
-	// instead of two.
-	if cfg.Scanner.V6HitList == nil && (cfg.Stream || cfg.Fold) {
+	// Every shard's Plan needs the complete IPv6 hit list, and shards
+	// may plan concurrently, so the list is derived in one view sweep up
+	// front.
+	if cfg.Scanner.V6HitList == nil {
 		cfg.Scanner.V6HitList = V6HitList(pop)
 	}
 	cfg.World.Invariants = !cfg.DisableInvariants
@@ -268,10 +263,26 @@ func (r *Runner) Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Stream || cfg.Fold {
-		return r.runStreaming(c, pop, cfg, reg)
+	p := &pipeline{
+		c: c, pop: pop, cfg: cfg, scfg: cfg.Scanner.WithDefaults(),
+		reg: reg, gdb: GeoDB(pop),
+		parts: ditl.PartitionIndices(pop.NumASes(), cfg.ShardCount()),
 	}
-	return r.runRetained(c, pop, cfg, reg)
+	if cfg.Fold {
+		dir, err := os.MkdirTemp("", "doors-fold-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		p.spillDir = dir
+	}
+	outs, win := r.simulate(p)
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+	}
+	return p.reduce(outs, win)
 }
 
 // Run executes one campaign on a fresh Runner. It is the one-shot
@@ -281,512 +292,354 @@ func Run(c *Campaign, pop ditl.Pop, cfg Config) (*Result, error) {
 	return NewRunner().Run(c, pop, cfg)
 }
 
-// shardInput assembles one shard's analysis input: its own buffers over
-// the shared registry and geo database. Partition's folds are
-// order-independent (set inserts and boolean ors keyed by target
-// address), so partitioning a shard's unsorted buffers yields the same
-// partial maps the canonical merged order would; the order-sensitive
-// reducers never see shard-local order because MergeContexts re-binds
-// the merged, canonically sorted Input before Reduce runs.
-func shardInput(sc *scanner.Scanner, addr4, addr6 netip.Addr, reg *routing.Registry, gdb *geo.DB, cfg Config) analysis.Input {
-	return analysis.Input{
-		Hits:              sc.Hits,
-		Partials:          sc.Partials,
-		Targets:           sc.Targets,
-		ScannerAddrs:      []netip.Addr{addr4, addr6},
-		Reg:               reg,
-		Geo:               gdb,
-		LifetimeThreshold: cfg.LifetimeThreshold,
-		FollowUpCount:     cfg.Scanner.FollowUpCount,
-	}
+// pipeline is one campaign run's context, read-only once the workers
+// start: every shard worker receives it as an argument.
+type pipeline struct {
+	c    *Campaign
+	pop  ditl.Pop
+	cfg  Config
+	scfg scanner.Config // cfg.Scanner with its defaults filled in
+	reg  *routing.Registry
+	gdb  *geo.DB
+	// parts lists each shard's population AS indices (contiguous).
+	parts [][]int
+	// spillDir receives each shard's sealed hit run under Fold; empty
+	// keeps the runs in memory.
+	spillDir string
 }
 
-// runRetained is the classic engine: every shard's world is built up
-// front and retained on the Result (tests inspect event-queue drop
-// counters and per-shard worlds). Since the incremental-reduce
-// restructuring it shares the streaming engine's analysis pipeline:
-// each shard's observations are partitioned on the shard's own
-// goroutine as soon as its simulation finishes, and the partial
-// reductions merge under the canonically ordered buffers.
-func (r *Runner) runRetained(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry) (*Result, error) {
-	shards := cfg.ShardCount()
-
-	// Stage 1: build each shard's world and scanner and admit its
-	// candidates — streamed straight off the population view, never
-	// collected into a slice — then let every phase plan (but not yet
-	// schedule) its probes. Admission for every shard completes before
-	// any shard plans: when no IPv6 hit list was configured, the
-	// admission sweep doubles as its derivation (the /64 of every v6
-	// candidate, admitted or not, exactly what a dedicated V6HitList
-	// sweep would collect), and planning reads the completed list.
-	parts := ditl.PartitionIndices(pop.NumASes(), shards)
-	worlds := make([]*world.World, shards)
-	shs := make([]*Shard, shards)
-	var hl map[netip.Prefix]bool
-	if cfg.Scanner.V6HitList == nil {
-		hl = make(map[netip.Prefix]bool, pop.V6AddrCount())
-		cfg.Scanner.V6HitList = hl
-	}
-	for k := range parts {
-		indices := parts[k]
-		if shards == 1 {
-			indices = nil // build everything; preserves Build's fast path
-		}
-		w, err := world.BuildWith(pop, reg, cfg.World, indices)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, cfg.Scanner)
-		if err != nil {
-			return nil, err
-		}
-		admitShard(sc, pop, indices, hl)
-		worlds[k], shs[k] = w, &Shard{Index: k, World: w, Scanner: sc}
-	}
-	probes := 0
-	for _, sh := range shs {
-		for _, ph := range c.Phases {
-			probes += ph.Plan(sh)
-		}
-	}
-
-	// Stage 2: the campaign window depends only on the campaign-wide
-	// probe total and rate, so per-probe timestamps are identical no
-	// matter how the targets were partitioned. The chaos injector's
-	// fault window is likewise the campaign-wide duration, and one
-	// read-only injector is shared by every shard, so the fault schedule
-	// is shard-invariant too. Phases schedule in list order, then churn
-	// and chaos, then reactive hooks arm — the same event-queue
-	// insertion order at every shard count.
-	duration := scanner.CampaignDuration(probes, shs[0].Scanner.Cfg.Rate)
-	chaosCrashes := 0
-	var inj *chaos.Injector
-	if cfg.Chaos.Enabled {
-		inj = chaos.NewInjector(cfg.Chaos)
-		inj.SetWindow(duration)
-		inj.SetEligibleRegistry(reg)
-	}
-	for _, sh := range shs {
-		for _, ph := range c.Phases {
-			ph.Schedule(sh, duration)
-		}
-		if cfg.ChurnFraction > 0 {
-			sh.World.ScheduleChurn(cfg.ChurnFraction, duration, cfg.Scanner.Seed+99)
-		}
-		if inj != nil {
-			chaosCrashes += sh.World.ScheduleChaos(inj)
-		}
-		for _, ph := range c.Phases {
-			ph.Observe(sh)
-		}
-	}
-
-	// Stage 3: run the shard simulations in parallel and partition each
-	// shard's observations the moment its simulation finishes, still on
-	// the shard's goroutine. The shards share only the read-only
-	// registry, geo database, campaign and population — plus the
-	// resolver-stats sink and the Runner's progress counter, which take
-	// their own locks.
-	gdb := GeoDB(pop)
-	ctxs := make([]*analysis.Context, shards)
-	var rsink resolver.StatsSink
-	if shards == 1 {
-		worlds[0].Net.Run()
-		shs[0].Scanner.SealRuns()
-		ctxs[0] = analysis.Partition(shardInput(shs[0].Scanner, worlds[0].ScannerAddr4, worlds[0].ScannerAddr6, reg, gdb, cfg))
-		rsink.Add(worlds[0].ResolverStats())
-		r.shardDone()
-	} else {
-		var wg sync.WaitGroup
-		for k := range worlds {
-			wg.Add(1)
-			go func(k int, gdb *geo.DB, cfg Config, r *Runner, rsink *resolver.StatsSink) {
-				defer wg.Done()
-				worlds[k].Net.Run()
-				shs[k].Scanner.SealRuns()
-				ctxs[k] = analysis.Partition(shardInput(shs[k].Scanner, worlds[k].ScannerAddr4, worlds[k].ScannerAddr6, reg, gdb, cfg))
-				rsink.Add(worlds[k].ResolverStats())
-				r.shardDone()
-			}(k, gdb, cfg, r, &rsink)
-		}
-		wg.Wait()
-	}
-
-	// Stage 4: deterministic merge. Targets concatenate in shard order
-	// (= population order, since shards are contiguous); hits and
-	// partials — each shard's already a canonically sorted run after
-	// SealRuns — k-way merge stably by run index. A stable merge of
-	// per-shard stable sorts in shard order equals the stable sort of
-	// the concatenation the old engine computed, so the merged
-	// sequences are bit-identical however the campaign was split, and
-	// K=1 passes through untouched. The per-shard partial reductions
-	// union under the merged Input (their key spaces are disjoint:
-	// targets are per-AS and ASes are per-shard), which MergeContexts
-	// re-binds so order-sensitive reducers read the canonical
-	// sequences, never shard-local order.
-	sc := shs[0].Scanner
-	if len(shs) > 1 {
-		nT, nH, nP := 0, 0, 0
-		hitRuns := make([][]scanner.Hit, len(shs))
-		partRuns := make([][]scanner.PartialHit, len(shs))
-		for k, o := range shs {
-			nT += len(o.Scanner.Targets)
-			nH += len(o.Scanner.Hits)
-			nP += len(o.Scanner.Partials)
-			hitRuns[k], partRuns[k] = o.Scanner.Hits, o.Scanner.Partials
-		}
-		targets := make([]scanner.Target, 0, nT)
-		for _, o := range shs {
-			targets = append(targets, o.Scanner.Targets...)
-		}
-		sc.Targets = targets
-		sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
-		sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
-		for _, o := range shs[1:] {
-			sc.Stats.Add(o.Scanner.Stats)
-		}
-	}
-	publicDNS := mergedPublicDNS(worlds)
-
-	var inv *world.InvariantReport
-	if !cfg.DisableInvariants {
-		merged := world.InvariantReport{}
-		for _, w := range worlds {
-			merged.Add(w.Invariants.Report())
-		}
-		inv = &merged
-	}
-
-	report := &analysis.Report{}
-	analysis.MergeContexts(
-		shardInput(sc, worlds[0].ScannerAddr4, worlds[0].ScannerAddr6, reg, gdb, cfg),
-		ctxs,
-	).Reduce(report, c.reducers())
-
-	result := &Result{
-		Campaign:   c,
-		Population: pop, World: worlds[0], Worlds: worlds,
-		Scanner: sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
-		Probes: probes, Duration: duration,
-		ResolverStats: rsink.Total(),
-		Invariants:    inv, ChaosCrashes: chaosCrashes,
-	}
-	if inv != nil && !inv.Ok() {
-		return result, fmt.Errorf("campaign: %d simulation invariant violation(s); first: %s",
-			inv.ViolationCount, inv.Violations[0])
-	}
-	return result, nil
+// window is the campaign-wide schedule every shard simulates under. The
+// duration depends only on the campaign-wide probe total and rate, so
+// per-probe timestamps are identical no matter how the targets were
+// partitioned; the one read-only chaos injector is keyed to the same
+// duration, so the fault schedule is shard-invariant too.
+type window struct {
+	probes   int
+	duration time.Duration
+	inj      *chaos.Injector
 }
 
-// shardOut is everything the streaming engine keeps from a finished
-// shard: the scanner's result buffers, the partitioned observations,
-// and the handful of world-level scalars the merge needs. Notably
-// absent: the world itself — resolvers, caches, zones, and the event
-// queue all become garbage the moment the shard's worker returns.
+func (p *pipeline) window(probes int) window {
+	win := window{probes: probes, duration: scanner.CampaignDuration(probes, p.scfg.Rate)}
+	if p.cfg.Chaos.Enabled {
+		win.inj = chaos.NewInjector(p.cfg.Chaos)
+		win.inj.SetWindow(win.duration)
+		win.inj.SetEligibleRegistry(p.reg)
+	}
+	return win
+}
+
+// shardOut is everything the pipeline keeps from a finished shard: the
+// scanner's result buffers, the partitioned observations, and the
+// handful of world-level scalars the reduce needs. Notably absent: the
+// world itself — resolvers, caches, zones, and the event queue all
+// become garbage the moment the shard's worker moves on.
 type shardOut struct {
 	targets      []scanner.Target
 	hits         []scanner.Hit
 	partials     []scanner.PartialHit
 	stats        scanner.Stats
-	cfg          scanner.Config
 	addr4, addr6 netip.Addr
 	ctx          *analysis.Context
 	rstats       resolver.Stats
+	drops        netsim.Drops
 	publicDNS    []netip.Addr
 	asPublicDNS  []netip.Addr
 	inv          world.InvariantReport
 	crashes      int
-	// runPath is the shard's spilled sorted hit run (fold engine only;
+	// runPath is the shard's spilled sorted hit run (Fold only;
 	// targets/hits/partials above stay nil in that mode).
 	runPath string
 	err     error
 }
 
-// runStreaming is the memory-flat engine. It makes two passes over the
-// population:
-//
-// Pass A (sequential, world-free): a host-less planner scanner per
-// shard admits the shard's candidates and lets every phase Plan, which
-// needs only the targets, the registry, and the config — no world. The
-// pass yields the campaign-wide probe total, preserving the timing
-// contract: all shards plan before any schedules, so the campaign
-// window (and with it every probe timestamp and the chaos fault
-// schedule) is identical to the retained engine's at every shard count.
-//
-// Pass B (bounded worker pool): each worker builds its shard's world
-// from the population view, re-plans, schedules, observes, runs the
-// simulation, partitions the shard's observations into an
-// analysis.Context, and keeps only the shardOut — the world is
-// unreachable before the next shard on that worker builds. Peak
-// residency is MaxParallel × (shard world + buffers), flat in the
-// population size once Shards scales with it.
-//
-// The merge is byte-for-byte the retained engine's: targets concatenate
-// in shard order, hits and partials sort canonically, and the disjoint
-// per-shard partial reductions union under the merged Input.
-func (r *Runner) runStreaming(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry) (*Result, error) {
-	shards := cfg.ShardCount()
-	parts := ditl.PartitionIndices(pop.NumASes(), shards)
-
-	// Pass A: world-free probe counting. Each planner lives only for
-	// its shard's loop iteration — retaining all K planners would be
-	// O(total targets), exactly what the streaming engine exists to
-	// avoid.
-	probes := 0
-	var planCfg scanner.Config
-	for k := range parts {
-		pl := scanner.NewPlanner(reg, cfg.Scanner)
-		if k == 0 {
-			planCfg = pl.Cfg
-		}
-		admitShard(pl, pop, parts[k], nil)
-		sh := &Shard{Index: k, Scanner: pl}
-		for _, ph := range c.Phases {
-			probes += ph.Plan(sh)
-		}
+// simulate runs every shard on min(Shards, MaxParallel) workers, which
+// take shards in index order, and returns the shards' outputs with the
+// window they ran under. The runner queues one copy of the window per
+// shard on start: in the count-pass mode right away, in the in-pool mode
+// once every worker has reported its shard's probe count on counts.
+// In-pool mode runs one worker per shard, so every shard plans before
+// any worker waits on start.
+func (r *Runner) simulate(p *pipeline) ([]*shardOut, window) {
+	shards := len(p.parts)
+	workers := min(shards, p.cfg.maxParallel())
+	jobs := make(chan int, shards)
+	for k := 0; k < shards; k++ {
+		jobs <- k
 	}
-	duration := scanner.CampaignDuration(probes, planCfg.Rate)
-	var inj *chaos.Injector
-	if cfg.Chaos.Enabled {
-		inj = chaos.NewInjector(cfg.Chaos)
-		inj.SetWindow(duration)
-		inj.SetEligibleRegistry(reg)
+	close(jobs)
+	start := make(chan window, shards)
+	var counts chan int
+	var win window
+	if shards > workers {
+		win = p.window(p.countProbes())
+	} else {
+		counts = make(chan int, shards)
 	}
 
-	// The fold engine spills each shard's sorted hit run here the
-	// moment the shard finishes; the reduce streams the files back.
-	foldDir := ""
-	if cfg.Fold {
-		dir, err := os.MkdirTemp("", "doors-fold-")
-		if err != nil {
-			return nil, err
-		}
-		foldDir = dir
-		defer os.RemoveAll(dir)
-	}
-
-	// Pass B: simulate shards on a bounded worker pool. The injector,
-	// registry, geo database, campaign and population view are all
-	// read-only across workers; the resolver-stats sink and the
-	// Runner's progress counter take their own locks.
-	gdb := GeoDB(pop)
+	// The pipeline and the window are read-only across workers; a
+	// worker writes only the output slots of the shards it takes, and
+	// the Runner's progress counter takes its own lock.
 	outs := make([]*shardOut, shards)
-	var rsink resolver.StatsSink
-	sem := make(chan struct{}, cfg.maxParallel())
 	var wg sync.WaitGroup
-	for k := range parts {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func(k int, pop ditl.Pop, cfg Config, gdb *geo.DB, inj *chaos.Injector, r *Runner, rsink *resolver.StatsSink) {
+		go func(p *pipeline, r *Runner, jobs <-chan int, counts chan<- int, start <-chan window) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outs[k] = runShardStreaming(c, pop, cfg, reg, gdb, inj, k, parts[k], duration, foldDir)
-			rsink.Add(outs[k].rstats)
-			r.shardDone()
-		}(k, pop, cfg, gdb, inj, r, &rsink)
+			for k := range jobs {
+				outs[k] = p.shard(k, counts, start)
+				r.shardDone()
+			}
+		}(p, r, jobs, counts, start)
+	}
+	if counts != nil {
+		probes := 0
+		for k := 0; k < shards; k++ {
+			probes += <-counts
+		}
+		win = p.window(probes)
+	}
+	for k := 0; k < shards; k++ {
+		start <- win
 	}
 	wg.Wait()
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-	}
-
-	// Scalar merge in shard order, common to both reduce paths.
-	var stats scanner.Stats
-	ctxs := make([]*analysis.Context, shards)
-	chaosCrashes := 0
-	for k, o := range outs {
-		stats.Add(o.stats)
-		ctxs[k] = o.ctx
-		chaosCrashes += o.crashes
-	}
-
-	n := len(outs[0].publicDNS)
-	for _, o := range outs {
-		n += len(o.asPublicDNS)
-	}
-	publicDNS := make([]netip.Addr, 0, n)
-	publicDNS = append(publicDNS, outs[0].publicDNS...)
-	for _, o := range outs {
-		publicDNS = append(publicDNS, o.asPublicDNS...)
-	}
-
-	var inv *world.InvariantReport
-	if !cfg.DisableInvariants {
-		merged := world.InvariantReport{}
-		for _, o := range outs {
-			merged.Add(o.inv)
-		}
-		inv = &merged
-	}
-
-	// The merged result scanner: registry, addresses and stats — it has
-	// no host and no world behind it, exactly like the buffers the
-	// retained merge leaves on shard 0's scanner. The classic streaming
-	// reduce materializes the merged buffers onto it; the fold reduce
-	// leaves them nil and streams the spilled runs instead.
-	sc := &scanner.Scanner{
-		Addr4: outs[0].addr4, Addr6: outs[0].addr6,
-		Reg: reg, Cfg: outs[0].cfg, Stats: stats,
-	}
-	var in analysis.Input
-	if cfg.Fold {
-		// Hierarchical external merge: pre-merge the spilled shard runs
-		// in contiguous groups of mergeFanIn until one level fits, then
-		// stream the final k-way merge through the reducers. Contiguous
-		// grouping + run-index stability make any grouping byte-identical
-		// to the flat merge (see internal/runs).
-		paths := make([]string, len(outs))
-		for k, o := range outs {
-			paths[k] = o.runPath
-		}
-		paths, err := reduceRuns(foldDir, paths)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: fold pre-merge: %w", err)
-		}
-		in = analysis.Input{
-			ScannerAddrs:      []netip.Addr{sc.Addr4, sc.Addr6},
-			Reg:               reg,
-			Geo:               gdb,
-			LifetimeThreshold: cfg.LifetimeThreshold,
-			FollowUpCount:     cfg.Scanner.FollowUpCount,
-			Stream: &analysis.Streams{
-				Hits:    foldHitStream(paths),
-				Targets: foldTargetStream(pop, reg, cfg.Scanner),
-			},
-		}
-	} else {
-		// Merge in shard order — identical to the retained engine's
-		// stage 4: targets concatenate, the sealed hit/partial runs
-		// k-way merge stably into exactly-sized buffers.
-		nT, nH, nP := 0, 0, 0
-		hitRuns := make([][]scanner.Hit, len(outs))
-		partRuns := make([][]scanner.PartialHit, len(outs))
-		for k, o := range outs {
-			nT += len(o.targets)
-			nH += len(o.hits)
-			nP += len(o.partials)
-			hitRuns[k], partRuns[k] = o.hits, o.partials
-		}
-		targets := make([]scanner.Target, 0, nT)
-		for _, o := range outs {
-			targets = append(targets, o.targets...)
-		}
-		sc.Targets = targets
-		sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
-		sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
-		in = shardInput(sc, sc.Addr4, sc.Addr6, reg, gdb, cfg)
-	}
-	report := &analysis.Report{}
-	mctx := analysis.MergeContexts(in, ctxs)
-	mctx.Reduce(report, c.reducers())
-	if err := mctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: fold reduce: %w", err)
-	}
-
-	result := &Result{
-		Campaign:   c,
-		Population: pop,
-		Scanner:    sc, Report: report, Geo: gdb, PublicDNS: publicDNS,
-		Probes: probes, Duration: duration,
-		ResolverStats: rsink.Total(),
-		Invariants:    inv, ChaosCrashes: chaosCrashes,
-	}
-	if inv != nil && !inv.Ok() {
-		return result, fmt.Errorf("campaign: %d simulation invariant violation(s); first: %s",
-			inv.ViolationCount, inv.Violations[0])
-	}
-	return result, nil
+	return outs, win
 }
 
-// runShardStreaming simulates one shard end to end: build, plan,
-// schedule, observe, run, seal, partition — and, under the fold
-// engine (foldDir non-empty), spill the sealed hit run to disk and
-// drop the buffers. Everything but the returned shardOut is garbage
-// when it returns.
-func runShardStreaming(c *Campaign, pop ditl.Pop, cfg Config, reg *routing.Registry, gdb *geo.DB, inj *chaos.Injector, k int, indices []int, duration time.Duration, foldDir string) *shardOut {
-	w, err := world.BuildWith(pop, reg, cfg.World, indices)
+// countProbes is the count pass: every shard admitted and planned on a
+// host-less planner — Plan needs only the targets, the registry and
+// the config, no world — for the campaign-wide probe total. Each
+// planner lives only for its shard's iteration; retaining all of them
+// would be O(total targets).
+func (p *pipeline) countProbes() int {
+	probes := 0
+	for k := range p.parts {
+		probes += p.admitAndPlan(&Shard{Index: k, Scanner: scanner.NewPlanner(p.reg, p.cfg.Scanner)})
+	}
+	return probes
+}
+
+// shard runs shard k end to end on its worker: build and plan, report
+// the probe count when the runner is collecting them (a failed build
+// still reports, so the runner never waits on it), take the window,
+// simulate.
+func (p *pipeline) shard(k int, counts chan<- int, start <-chan window) *shardOut {
+	sh, n, err := p.plan(k)
+	if counts != nil {
+		counts <- n
+	}
+	var out *shardOut
+	if err == nil {
+		out, err = p.runShard(sh, <-start)
+	}
 	if err != nil {
-		return &shardOut{err: err}
-	}
-	sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, cfg.Scanner)
-	if err != nil {
-		return &shardOut{err: err}
-	}
-	admitShard(sc, pop, indices, nil)
-	sh := &Shard{Index: k, World: w, Scanner: sc}
-	for _, ph := range c.Phases {
-		ph.Plan(sh)
-	}
-	for _, ph := range c.Phases {
-		ph.Schedule(sh, duration)
-	}
-	out := &shardOut{}
-	if cfg.ChurnFraction > 0 {
-		w.ScheduleChurn(cfg.ChurnFraction, duration, cfg.Scanner.Seed+99)
-	}
-	if inj != nil {
-		out.crashes = w.ScheduleChaos(inj)
-	}
-	for _, ph := range c.Phases {
-		ph.Observe(sh)
-	}
-	w.Net.Run()
-	sc.SealRuns()
-	out.ctx = analysis.Partition(shardInput(sc, w.ScannerAddr4, w.ScannerAddr6, reg, gdb, cfg))
-	out.rstats = w.ResolverStats()
-	out.stats, out.cfg = sc.Stats, sc.Cfg
-	out.addr4, out.addr6 = w.ScannerAddr4, w.ScannerAddr6
-	out.publicDNS, out.asPublicDNS = w.PublicDNS, w.ASPublicDNS
-	if !cfg.DisableInvariants {
-		out.inv = w.Invariants.Report()
-	}
-	if foldDir != "" {
-		// Partition has folded everything it needs; the sorted hit run
-		// spills and the shard's buffers die with this frame. Partials
-		// need no spill (folded into the per-shard qmin sets) and the
-		// target list re-derives from the view at reduce time.
-		path := filepath.Join(foldDir, fmt.Sprintf("shard-%05d.run", k))
-		if err := scanner.WriteHitRun(path, sc.Hits); err != nil {
-			return &shardOut{err: err}
-		}
-		out.runPath = path
-	} else {
-		out.targets, out.hits, out.partials = sc.Targets, sc.Hits, sc.Partials
+		return &shardOut{err: p.shardErr(k, err)}
 	}
 	return out
 }
 
-// admitShard streams the shard's DITL-derived candidate targets (live
-// resolvers and dead addresses alike; the scanner cannot tell them
-// apart, §3.6.2) straight off the population view into the scanner's
-// admission predicate — no intermediate slice. When hl is non-nil the
-// sweep also accumulates the IPv6 hit list: the /64 of every v6
-// candidate before admission filtering (an excluded address's subnet is
-// still known-active space), exactly the set V6HitList collects.
-func admitShard(sc *scanner.Scanner, pop ditl.Pop, indices []int, hl map[netip.Prefix]bool) {
-	sc.AdmitHint(pop.CandidateCount(indices))
-	admit := func(a netip.Addr) {
-		if hl != nil && a.IsValid() && a.Is6() {
-			hl[routing.SubnetOf(a)] = true
-		}
-		sc.AdmitOne(a)
+// shardErr names the failed shard: its index, its population AS range
+// and the population seed, enough to rebuild it alone.
+func (p *pipeline) shardErr(k int, err error) error {
+	lo := 0
+	for _, part := range p.parts[:k] {
+		lo += len(part)
 	}
-	pop.EachAS(indices, func(_ int, as *ditl.ASSpec) {
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			if r.HasV4() {
-				admit(r.Addr4)
-			}
-			if r.HasV6() {
-				admit(r.Addr6)
-			}
+	return fmt.Errorf("campaign: shard %d (ASes [%d,%d), seed %d): %w",
+		k, lo, lo+len(p.parts[k]), p.pop.PopParams().Seed, err)
+}
+
+// plan builds shard k's world and scanner, then admits and plans.
+func (p *pipeline) plan(k int) (*Shard, int, error) {
+	w, err := world.BuildWith(p.pop, p.reg, p.cfg.World, p.parts[k])
+	if err != nil {
+		return nil, 0, err
+	}
+	sc, err := scanner.New(w.Scanner, w.ScannerAddr4, w.ScannerAddr6, w.Reg, w.Auth, p.cfg.Scanner)
+	if err != nil {
+		return nil, 0, err
+	}
+	sh := &Shard{Index: k, World: w, Scanner: sc}
+	return sh, p.admitAndPlan(sh), nil
+}
+
+// admitAndPlan streams the shard's candidates straight off the
+// population view into the scanner's admission predicate — no
+// intermediate slice — then lets every phase plan, and returns the
+// shard's probe count.
+func (p *pipeline) admitAndPlan(sh *Shard) int {
+	indices := p.parts[sh.Index]
+	sh.Scanner.AdmitHint(p.pop.CandidateCount(indices))
+	eachCandidate(p.pop, indices, sh.Scanner.AdmitOne)
+	probes := 0
+	for _, ph := range p.c.Phases {
+		probes += ph.Plan(sh)
+	}
+	return probes
+}
+
+// runShard schedules, simulates, seals and partitions one planned
+// shard and, under Fold, spills the sealed hit run and drops the
+// buffers. Phases schedule in list order, then churn and chaos, then
+// reactive hooks arm — the same event-queue insertion order at every
+// shard count.
+func (p *pipeline) runShard(sh *Shard, win window) (*shardOut, error) {
+	w, sc := sh.World, sh.Scanner
+	for _, ph := range p.c.Phases {
+		ph.Schedule(sh, win.duration)
+	}
+	out := &shardOut{}
+	if p.cfg.ChurnFraction > 0 {
+		w.ScheduleChurn(p.cfg.ChurnFraction, win.duration, p.cfg.Scanner.Seed+99)
+	}
+	if win.inj != nil {
+		out.crashes = w.ScheduleChaos(win.inj)
+	}
+	for _, ph := range p.c.Phases {
+		ph.Observe(sh)
+	}
+	w.Net.Run()
+	sc.SealRuns()
+	out.ctx = analysis.Partition(p.input(sc))
+	out.stats, out.rstats, out.drops = sc.Stats, w.ResolverStats(), w.Net.Drops()
+	out.addr4, out.addr6 = w.ScannerAddr4, w.ScannerAddr6
+	out.publicDNS, out.asPublicDNS = w.PublicDNS, w.ASPublicDNS
+	if w.Invariants != nil {
+		out.inv = w.Invariants.Report()
+	}
+	if p.spillDir == "" {
+		out.targets, out.hits, out.partials = sc.Targets, sc.Hits, sc.Partials
+		return out, nil
+	}
+	// Partition has folded everything it needs; the sorted hit run
+	// spills and the shard's buffers die with this frame. Partials need
+	// no spill (folded into the per-shard qmin sets) and the target
+	// list re-derives from the view at reduce time.
+	out.runPath = filepath.Join(p.spillDir, fmt.Sprintf("shard-%05d.run", sh.Index))
+	if err := scanner.WriteHitRun(out.runPath, sc.Hits); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// input assembles the analysis input over sc's buffers. Partition's
+// folds are order-independent (set inserts and boolean ors keyed by
+// target address), so partitioning a shard's unsorted buffers yields
+// the same partial maps the canonical merged order would; the
+// order-sensitive reducers never see shard-local order because
+// MergeContexts re-binds the merged, canonically sorted Input before
+// Reduce runs.
+func (p *pipeline) input(sc *scanner.Scanner) analysis.Input {
+	return analysis.Input{
+		Hits:              sc.Hits,
+		Partials:          sc.Partials,
+		Targets:           sc.Targets,
+		ScannerAddrs:      []netip.Addr{sc.Addr4, sc.Addr6},
+		Reg:               p.reg,
+		Geo:               p.gdb,
+		LifetimeThreshold: p.cfg.LifetimeThreshold,
+		FollowUpCount:     p.cfg.Scanner.FollowUpCount,
+	}
+}
+
+// reduce merges the shard outputs in shard order into the Result.
+// Scalars sum. The public-DNS list is the shared public resolvers
+// (identical in every shard) plus each shard's per-AS replicas;
+// shards hold disjoint AS subsets in population order, so the
+// concatenation reproduces the single-shard list exactly. The
+// per-shard partial reductions union under the merged Input (their
+// key spaces are disjoint: targets are per-AS and ASes are per-shard),
+// which MergeContexts re-binds so order-sensitive reducers read the
+// canonical sequences.
+func (p *pipeline) reduce(outs []*shardOut, win window) (*Result, error) {
+	res := &Result{
+		Campaign: p.c, Population: p.pop, Geo: p.gdb,
+		Probes: win.probes, Duration: win.duration,
+	}
+	// The merged result scanner carries no host and no world, only the
+	// addresses, registry, config and stats every shard shared.
+	sc := &scanner.Scanner{Addr4: outs[0].addr4, Addr6: outs[0].addr6, Reg: p.reg, Cfg: p.scfg}
+	var inv world.InvariantReport
+	ctxs := make([]*analysis.Context, len(outs))
+	n := len(outs[0].publicDNS)
+	for k, o := range outs {
+		sc.Stats.Add(o.stats)
+		res.ResolverStats.Add(o.rstats)
+		res.Drops.Add(o.drops)
+		inv.Add(o.inv)
+		res.ChaosCrashes += o.crashes
+		ctxs[k] = o.ctx
+		n += len(o.asPublicDNS)
+	}
+	res.PublicDNS = append(make([]netip.Addr, 0, n), outs[0].publicDNS...)
+	for _, o := range outs {
+		res.PublicDNS = append(res.PublicDNS, o.asPublicDNS...)
+	}
+
+	var streams *analysis.Streams
+	if p.spillDir == "" {
+		mergeBuffers(sc, outs)
+	} else {
+		// Hierarchical external merge: pre-merge the spilled shard runs
+		// in contiguous groups of mergeFanIn until one level fits, then
+		// stream the final k-way merge through the reducers. Contiguous
+		// grouping + run-index stability make any grouping
+		// byte-identical to the flat merge (see internal/runs).
+		paths := make([]string, len(outs))
+		for k, o := range outs {
+			paths[k] = o.runPath
 		}
-		for _, d := range as.DeadTargets {
-			admit(d)
+		paths, err := reduceRuns(p.spillDir, paths)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: fold pre-merge: %w", err)
 		}
-	})
+		streams = &analysis.Streams{
+			Hits:    foldHitStream(paths),
+			Targets: foldTargetStream(p.pop, p.reg, p.cfg.Scanner),
+		}
+	}
+	in := p.input(sc)
+	in.Stream = streams
+	res.Scanner, res.Report = sc, &analysis.Report{}
+	mctx := analysis.MergeContexts(in, ctxs)
+	mctx.Reduce(res.Report, p.c.reducers())
+	if err := mctx.Err(); err != nil {
+		return nil, fmt.Errorf("campaign: reduce: %w", err)
+	}
+	if !p.cfg.DisableInvariants {
+		res.Invariants = &inv
+		if !inv.Ok() {
+			return res, fmt.Errorf("campaign: %d simulation invariant violation(s); first: %s",
+				inv.ViolationCount, inv.Violations[0])
+		}
+	}
+	return res, nil
+}
+
+// mergeBuffers materializes the merged observation buffers on sc.
+// Targets concatenate in shard order (= population order, since shards
+// are contiguous); hits and partials — each shard's already a
+// canonically sorted run after SealRuns — k-way merge stably by run
+// index into exactly-sized buffers. A stable merge of per-shard stable
+// sorts in shard order equals the stable sort of the concatenation, so
+// the merged sequences are bit-identical however the campaign was
+// split.
+func mergeBuffers(sc *scanner.Scanner, outs []*shardOut) {
+	nT, nH, nP := 0, 0, 0
+	hitRuns := make([][]scanner.Hit, len(outs))
+	partRuns := make([][]scanner.PartialHit, len(outs))
+	for k, o := range outs {
+		nT += len(o.targets)
+		nH += len(o.hits)
+		nP += len(o.partials)
+		hitRuns[k], partRuns[k] = o.hits, o.partials
+	}
+	sc.Targets = make([]scanner.Target, 0, nT)
+	for _, o := range outs {
+		sc.Targets = append(sc.Targets, o.targets...)
+	}
+	sc.Hits = runs.MergeSlices(make([]scanner.Hit, 0, nH), scanner.LessHit, hitRuns...)
+	sc.Partials = runs.MergeSlices(make([]scanner.PartialHit, 0, nP), scanner.LessPartial, partRuns...)
 }
 
 // mergeFanIn bounds how many run files the fold reduce holds open at
@@ -821,43 +674,13 @@ func reduceRuns(dir string, paths []string) ([]string, error) {
 }
 
 // mergeRunFiles streams the stable k-way merge of the input run files
-// into a new run file. Peak residency: one decoded hit per input plus
-// the buffered writers.
+// into a new run file.
 func mergeRunFiles(outPath string, inPaths []string) error {
-	srcs := make([]runs.Source[scanner.Hit], len(inPaths))
-	readers := make([]*scanner.HitRunReader, len(inPaths))
-	defer func() {
-		for _, rd := range readers {
-			if rd != nil {
-				rd.Close()
-			}
-		}
-	}()
-	for i, p := range inPaths {
-		rd, err := scanner.OpenHitRun(p)
-		if err != nil {
-			return err
-		}
-		readers[i], srcs[i] = rd, rd
-	}
 	w, err := scanner.CreateHitRun(outPath)
 	if err != nil {
 		return err
 	}
-	m := runs.NewMerger(scanner.LessHit, srcs...)
-	var h scanner.Hit
-	for {
-		var ok bool
-		h, ok = m.Next()
-		if !ok {
-			break
-		}
-		if err := w.Write(&h); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	if err := m.Err(); err != nil {
+	if err := eachMergedHit(inPaths, w.Write); err != nil {
 		w.Close()
 		return err
 	}
@@ -865,37 +688,41 @@ func mergeRunFiles(outPath string, inPaths []string) error {
 }
 
 // foldHitStream returns the re-drainable merged hit stream over the
-// final level of run files: each drain opens the files, streams their
-// stable k-way merge through yield one hit at a time, and closes them.
+// final level of run files: each drain streams their merge through
+// yield afresh.
 func foldHitStream(paths []string) func(yield func(h *scanner.Hit)) error {
 	return func(yield func(h *scanner.Hit)) error {
-		srcs := make([]runs.Source[scanner.Hit], len(paths))
-		readers := make([]*scanner.HitRunReader, len(paths))
-		defer func() {
-			for _, rd := range readers {
-				if rd != nil {
-					rd.Close()
-				}
-			}
-		}()
-		for i, p := range paths {
-			rd, err := scanner.OpenHitRun(p)
-			if err != nil {
-				return err
-			}
-			readers[i], srcs[i] = rd, rd
+		return eachMergedHit(paths, func(h *scanner.Hit) error {
+			yield(h)
+			return nil
+		})
+	}
+}
+
+// eachMergedHit opens the run files, streams their stable k-way merge
+// through fn one decoded hit at a time (valid only during the call),
+// and closes them. Peak residency: one decoded hit per input plus the
+// buffered readers.
+func eachMergedHit(paths []string, fn func(h *scanner.Hit) error) error {
+	srcs := make([]runs.Source[scanner.Hit], len(paths))
+	for i, p := range paths {
+		rd, err := scanner.OpenHitRun(p)
+		if err != nil {
+			return err
 		}
-		m := runs.NewMerger(scanner.LessHit, srcs...)
-		var h scanner.Hit
-		for {
-			var ok bool
-			h, ok = m.Next()
-			if !ok {
-				break
-			}
-			yield(&h)
+		defer rd.Close()
+		srcs[i] = rd
+	}
+	m := runs.NewMerger(scanner.LessHit, srcs...)
+	var h scanner.Hit
+	for {
+		var ok bool
+		if h, ok = m.Next(); !ok {
+			return m.Err()
 		}
-		return m.Err()
+		if err := fn(&h); err != nil {
+			return err
+		}
 	}
 }
 
@@ -907,70 +734,59 @@ func foldHitStream(paths []string) func(yield func(h *scanner.Hit)) error {
 func foldTargetStream(pop ditl.Pop, reg *routing.Registry, cfg scanner.Config) func(yield func(t scanner.Target)) error {
 	return func(yield func(t scanner.Target)) error {
 		pl := scanner.NewPlanner(reg, cfg)
-		check := func(a netip.Addr) {
+		eachCandidate(pop, nil, func(a netip.Addr) {
 			if t, ok := pl.AdmitCheck(a); ok {
 				yield(t)
-			}
-		}
-		pop.EachAS(nil, func(_ int, as *ditl.ASSpec) {
-			for k := 0; k < as.NumResolvers(); k++ {
-				r := as.Resolver(k)
-				if r.HasV4() {
-					check(r.Addr4)
-				}
-				if r.HasV6() {
-					check(r.Addr6)
-				}
-			}
-			for _, d := range as.DeadTargets {
-				check(d)
 			}
 		})
 		return nil
 	}
 }
 
-// CandidateAddrs collects the DITL-derived candidate targets (live
+// eachCandidate visits the DITL-derived candidate targets (live
 // resolvers and dead addresses alike; the scanner cannot tell them
 // apart, §3.6.2) of the population ASes named by indices (nil = all),
-// pre-sized from the population counts.
-func CandidateAddrs(pop ditl.Pop, indices []int) []netip.Addr {
-	out := make([]netip.Addr, 0, pop.CandidateCount(indices))
+// in view order: each resolver's v4 then v6 address, then the AS's
+// dead targets. Every candidate sweep — admission, the fold target
+// stream, the IPv6 hit list — goes through it, so they agree on the
+// order.
+func eachCandidate(pop ditl.Pop, indices []int, fn func(netip.Addr)) {
 	pop.EachAS(indices, func(_ int, as *ditl.ASSpec) {
 		for k := 0; k < as.NumResolvers(); k++ {
 			r := as.Resolver(k)
 			if r.HasV4() {
-				out = append(out, r.Addr4)
+				fn(r.Addr4)
 			}
 			if r.HasV6() {
-				out = append(out, r.Addr6)
+				fn(r.Addr6)
 			}
 		}
-		out = append(out, as.DeadTargets...)
+		for _, d := range as.DeadTargets {
+			fn(d)
+		}
 	})
+}
+
+// CandidateAddrs collects the DITL-derived candidate targets of the
+// population ASes named by indices (nil = all), pre-sized from the
+// population counts.
+func CandidateAddrs(pop ditl.Pop, indices []int) []netip.Addr {
+	out := make([]netip.Addr, 0, pop.CandidateCount(indices))
+	eachCandidate(pop, indices, func(a netip.Addr) { out = append(out, a) })
 	return out
 }
 
 // V6HitList derives the IPv6 hit list (§3.2, [21]) from the population:
 // the /64s of every known-active v6 address (live resolvers and
 // once-seen dead targets alike — activity, not liveness). It is one of
-// the few deliberately population-sized structures in the streaming
-// engine: one /64 per known v6 address, shared read-only by every
-// shard's scanner.
+// the few deliberately population-sized structures in the pipeline:
+// one /64 per known v6 address, shared read-only by every shard's
+// scanner.
 func V6HitList(pop ditl.Pop) map[netip.Prefix]bool {
 	hl := make(map[netip.Prefix]bool, pop.V6AddrCount())
-	add := func(a netip.Addr) {
-		if a.IsValid() && a.Is6() {
+	eachCandidate(pop, nil, func(a netip.Addr) {
+		if a.Is6() {
 			hl[routing.SubnetOf(a)] = true
-		}
-	}
-	pop.EachAS(nil, func(_ int, as *ditl.ASSpec) {
-		for k := 0; k < as.NumResolvers(); k++ {
-			r := as.Resolver(k)
-			add(r.Addr6)
-		}
-		for _, d := range as.DeadTargets {
-			add(d)
 		}
 	})
 	return hl
@@ -984,22 +800,4 @@ func GeoDB(pop ditl.Pop) *geo.DB {
 		db.Assign(as.ASN, as.Countries...)
 	})
 	return db
-}
-
-// mergedPublicDNS unions the public-DNS service addresses across shard
-// worlds: the shared public resolvers (identical in every shard) plus
-// each shard's per-AS replicas. Shards hold disjoint AS subsets in
-// population order, so concatenating in shard order reproduces the
-// single-shard list exactly.
-func mergedPublicDNS(worlds []*world.World) []netip.Addr {
-	n := len(worlds[0].PublicDNS)
-	for _, w := range worlds {
-		n += len(w.ASPublicDNS)
-	}
-	out := make([]netip.Addr, 0, n)
-	out = append(out, worlds[0].PublicDNS...)
-	for _, w := range worlds {
-		out = append(out, w.ASPublicDNS...)
-	}
-	return out
 }

@@ -169,8 +169,7 @@ const releaseThreshold = 1 << 16
 // returns the final virtual time. A full drain of a large queue
 // releases the slab, heap and free-list arrays: they are sized by the
 // simulation's peak outstanding-event count, and between Net.Run
-// returning and the shard's world dying (partition under the streaming
-// engines, the whole Result lifetime under the retained one) they would
+// returning and the shard's world dying (after partition) they would
 // otherwise be the queue's entire residency. The queue stays usable —
 // scheduling after a drain regrows from empty.
 func (q *Queue) Run() time.Duration {

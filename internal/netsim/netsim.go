@@ -26,10 +26,11 @@
 // until Run returns. Nothing in this package takes a lock, on purpose:
 // parallelism lives one level up, where the campaign engine runs one
 // Network per shard goroutine and the shards share only read-only
-// structures (routing registry, population view) or explicitly
-// lock-guarded sinks. Handing a live Network, or any object inside it,
-// to another goroutine is a race; the lockguard/golifetime analyzers
-// and the racestress harness enforce the boundary from both sides.
+// structures (routing registry, population view); each shard hands its
+// counters back in its own result slot, read after the pool joins.
+// Handing a live Network, or any object inside it, to another goroutine
+// is a race; the lockguard/golifetime analyzers and the racestress
+// harness enforce the boundary from both sides.
 package netsim
 
 import (
@@ -70,7 +71,18 @@ const (
 	DropKernelSpoof            // kernel refused dst-as-src/loopback source
 	DropNoListener             // no socket bound to the destination port
 	DropChaos                  // injected fault (link flap, induced loss)
+	numDropReasons
 )
+
+// Drops holds the per-reason drop counters, indexed by DropReason.
+type Drops [numDropReasons]uint64
+
+// Add accumulates o into d reason by reason.
+func (d *Drops) Add(o Drops) {
+	for r := range d {
+		d[r] += o[r]
+	}
+}
 
 // String names the drop reason.
 func (r DropReason) String() string {
@@ -168,7 +180,7 @@ type Network struct {
 	dropHook     DropHook
 	deliveryHook DeliveryHook
 	faults       FaultHook
-	drops        map[DropReason]uint64
+	drops        Drops
 	delivered    uint64
 	tracer       *Tracer
 }
@@ -188,7 +200,6 @@ func New(reg *routing.Registry, cfg Config) *Network {
 		seed:         uint64(cfg.Seed),
 		hosts:        make(map[netip.Addr]*Host),
 		interceptors: make(map[routing.ASN]Interceptor),
-		drops:        make(map[DropReason]uint64),
 	}
 }
 
@@ -202,13 +213,7 @@ func (n *Network) Run() time.Duration { return n.Q.Run() }
 func (n *Network) RunFor(d time.Duration) time.Duration { return n.Q.RunFor(d) }
 
 // Drops returns the per-reason drop counters.
-func (n *Network) Drops() map[DropReason]uint64 {
-	out := make(map[DropReason]uint64, len(n.drops))
-	for k, v := range n.drops {
-		out[k] = v
-	}
-	return out
-}
+func (n *Network) Drops() Drops { return n.drops }
 
 // Delivered reports how many packets reached a socket.
 func (n *Network) Delivered() uint64 { return n.delivered }

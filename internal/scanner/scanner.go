@@ -216,7 +216,8 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the unset fields with their defaults.
+func (c Config) WithDefaults() Config {
 	if c.Keyword == "" {
 		c.Keyword = "x1"
 	}
@@ -310,7 +311,7 @@ func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auth
 	}
 	s := &Scanner{
 		Host: host, Addr4: addr4, Addr6: addr6, Reg: reg,
-		Cfg:      cfg.withDefaults(),
+		Cfg:      cfg.WithDefaults(),
 		seed:     uint64(cfg.Seed),
 		followed: make(map[netip.Addr]bool),
 	}
@@ -332,7 +333,7 @@ func New(host *netsim.Host, addr4, addr6 netip.Addr, reg *routing.Registry, auth
 func NewPlanner(reg *routing.Registry, cfg Config) *Scanner {
 	return &Scanner{
 		Reg:      reg,
-		Cfg:      cfg.withDefaults(),
+		Cfg:      cfg.WithDefaults(),
 		seed:     uint64(cfg.Seed),
 		followed: make(map[netip.Addr]bool),
 	}

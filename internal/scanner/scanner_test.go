@@ -209,7 +209,7 @@ func newTestScanner(t *testing.T) *Scanner {
 	if err := reg.Add(big); err != nil {
 		t.Fatal(err)
 	}
-	return &Scanner{Reg: reg, Cfg: Config{}.withDefaults(), seed: 1, followed: map[netip.Addr]bool{}}
+	return &Scanner{Reg: reg, Cfg: Config{}.WithDefaults(), seed: 1, followed: map[netip.Addr]bool{}}
 }
 
 func TestSourcesForCategories(t *testing.T) {

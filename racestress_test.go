@@ -4,11 +4,12 @@ package doors
 // golifetime analyzers make a static claim — the engine's concurrency
 // discipline is sound — and these tests make the dynamic half of the
 // argument under `go test -race`. TestRaceStressConcurrentCampaigns
-// drives two streaming campaigns through one shared campaign.Runner at
-// high MaxParallel, so the runner's registry memo, progress counters
-// and resolver-stats sinks are all exercised from many goroutines at
-// once; any locking hole the analyzers missed is the race detector's
-// to find, and any determinism hole shows up as a result mismatch.
+// drives two campaigns through one shared campaign.Runner at high
+// MaxParallel, in both plan modes, so the runner's registry memo,
+// progress counters, plan barrier and shard-output slots are all
+// exercised from many goroutines at once; any locking hole the
+// analyzers missed is the race detector's to find, and any determinism
+// hole shows up as a result mismatch.
 // TestRaceStressLintAgreement closes the loop from the other side: the
 // concurrency-bearing packages must come back clean from exactly those
 // two analyzers, so a race-detector pass here is never read as
@@ -16,6 +17,7 @@ package doors
 // "stress test redundant".
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,13 +31,26 @@ import (
 )
 
 func TestRaceStressConcurrentCampaigns(t *testing.T) {
-	cfg := SurveyConfig{
-		Population:  ditl.Params{Seed: 7, ASes: 40},
-		Scanner:     scanner.Config{Seed: 8, Rate: 10000},
-		Stream:      true,
-		Shards:      8,
-		MaxParallel: 4,
+	// Shards 8 on 4 slots takes the count pass; Shards 4 on 4 slots
+	// plans in the pool, where each worker waits between planning and
+	// simulating for the campaign window the runner sums from the
+	// others' probe counts.
+	for _, tc := range []struct{ shards, maxPar int }{{8, 4}, {4, 4}} {
+		t.Run(fmt.Sprintf("shards=%d,maxparallel=%d", tc.shards, tc.maxPar), func(t *testing.T) {
+			raceStressCampaigns(t, SurveyConfig{
+				Population:  ditl.Params{Seed: 7, ASes: 40},
+				Scanner:     scanner.Config{Seed: 8, Rate: 10000},
+				Shards:      tc.shards,
+				MaxParallel: tc.maxPar,
+			})
+		})
 	}
+}
+
+// raceStressCampaigns races two campaigns over one population view
+// through a shared Runner and checks both against a sequential
+// baseline.
+func raceStressCampaigns(t *testing.T, cfg SurveyConfig) {
 	pop := ditl.NewView(cfg.Population)
 
 	// Sequential baseline on its own Runner.
@@ -46,8 +61,8 @@ func TestRaceStressConcurrentCampaigns(t *testing.T) {
 
 	// Two campaigns over the same population view race through one
 	// shared Runner: both hit the same registry memo entry, both bump
-	// the shared progress counters, and each runs 8 shard simulations
-	// on up to 4 worker goroutines.
+	// the shared progress counters, and each runs its shard simulations
+	// on up to MaxParallel worker goroutines.
 	r := campaign.NewRunner()
 	const runs = 2
 	results := make([]*Survey, runs)
@@ -78,9 +93,12 @@ func TestRaceStressConcurrentCampaigns(t *testing.T) {
 			t.Errorf("concurrent run %d: resolver stats diverge: %+v vs %+v",
 				i, s.ResolverStats, base.ResolverStats)
 		}
+		if s.Drops != base.Drops {
+			t.Errorf("concurrent run %d: drops diverge: %v vs %v", i, s.Drops, base.Drops)
+		}
 	}
 	if base.ResolverStats.ClientQueries == 0 {
-		t.Error("baseline resolver stats are empty: the sink never saw the shards")
+		t.Error("baseline resolver stats are empty: no shard reported its resolvers")
 	}
 	active, completed, shardsDone := r.Progress()
 	if active != 0 || completed != runs || shardsDone != runs*cfg.Shards {

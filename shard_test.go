@@ -33,12 +33,14 @@ func TestShardedSurveyIsDeterministic(t *testing.T) {
 		t.Fatal("baseline survey reached nothing")
 	}
 	for _, k := range []int{2, 8} {
-		s, err := RunSurvey(shardConfig(k))
+		cfg := shardConfig(k)
+		r := campaign.NewRunner()
+		s, err := r.Run(cfg.Campaign, ditl.Generate(cfg.Population), cfg.engineConfig())
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}
-		if len(s.Worlds) != k {
-			t.Fatalf("shards=%d: got %d worlds", k, len(s.Worlds))
+		if _, _, done := r.Progress(); done != k {
+			t.Fatalf("shards=%d: runner finished %d shard simulations", k, done)
 		}
 		if s.Probes != base.Probes || s.Duration != base.Duration {
 			t.Fatalf("shards=%d: probes/duration %d/%v, want %d/%v",
@@ -100,21 +102,12 @@ func TestShardedSurveyWithChurnIsDeterministic(t *testing.T) {
 	}
 }
 
-// chaosDropTotal sums the chaos-injected transit drops across a
-// survey's shard worlds.
-func chaosDropTotal(s *Survey) uint64 {
-	var n uint64
-	for _, w := range s.Worlds {
-		n += w.Net.Drops()[netsim.DropChaos]
-	}
-	return n
-}
-
 // TestShardedSurveyWithChaosIsDeterministic pins the tentpole guarantee
 // of the fault-injection layer: with chaos enabled, the fault schedule
-// (flap drops, crashes), the merged Report, and the invariant-checker
-// totals are all bit-identical at K=1, 3, and 5 shards — and the
-// invariants hold (zero violations) throughout.
+// (crashes and the whole per-reason drop vector, flap drops included),
+// the merged Report, and the invariant-checker totals are all
+// bit-identical at K=1, 3, and 5 shards — and the invariants hold (zero
+// violations) throughout.
 func TestShardedSurveyWithChaosIsDeterministic(t *testing.T) {
 	chaosConfig := func(shards int) SurveyConfig {
 		cfg := shardConfig(shards)
@@ -129,7 +122,7 @@ func TestShardedSurveyWithChaosIsDeterministic(t *testing.T) {
 	if base.ChaosCrashes == 0 {
 		t.Fatal("chaos schedule injected no resolver crashes")
 	}
-	if chaosDropTotal(base) == 0 {
+	if base.Drops[netsim.DropChaos] == 0 {
 		t.Fatal("chaos layer dropped no packets (no flaps hit live traffic)")
 	}
 	if base.Report.V4.ReachableAddrs == 0 {
@@ -158,8 +151,8 @@ func TestShardedSurveyWithChaosIsDeterministic(t *testing.T) {
 		if s.ChaosCrashes != base.ChaosCrashes {
 			t.Fatalf("shards=%d: %d chaos crashes, want %d", k, s.ChaosCrashes, base.ChaosCrashes)
 		}
-		if got, want := chaosDropTotal(s), chaosDropTotal(base); got != want {
-			t.Fatalf("shards=%d: %d chaos drops, want %d", k, got, want)
+		if !reflect.DeepEqual(s.Drops, base.Drops) {
+			t.Fatalf("shards=%d: drops %v, want %v", k, s.Drops, base.Drops)
 		}
 		if !reflect.DeepEqual(s.Scanner.Targets, base.Scanner.Targets) {
 			t.Fatalf("shards=%d: merged target list differs", k)

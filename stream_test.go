@@ -9,12 +9,13 @@ import (
 	"repro/internal/scanner"
 )
 
-// TestStreamingMatchesRetained pins the streaming engine's core
-// guarantee: a survey run under Config.Stream — population synthesized
-// on demand by a ditl.View, worlds discarded shard by shard,
-// observations reduced incrementally — produces a bit-identical Result
-// to the retained engine over the materialized population, at several
-// shard counts and parallelism bounds.
+// TestStreamingMatchesRetained pins the streaming population's core
+// guarantee: a survey run under SurveyConfig.Stream — population
+// synthesized on demand by a ditl.View — produces a bit-identical
+// Result to the single-shard run over the materialized population, at
+// several shard counts and parallelism bounds. The bounds are explicit
+// so both plan modes run on any host: {1,1} and {2,2} plan in the pool,
+// {2,1} and {8,3} take the count pass.
 func TestStreamingMatchesRetained(t *testing.T) {
 	cfg := SurveyConfig{
 		Population: ditl.Params{Seed: 7, ASes: 40},
@@ -36,9 +37,6 @@ func TestStreamingMatchesRetained(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream shards=%d: %v", tc.shards, err)
 		}
-		if s.World != nil || s.Worlds != nil {
-			t.Fatalf("stream shards=%d retained worlds", tc.shards)
-		}
 		if !reflect.DeepEqual(s.Scanner.Targets, base.Scanner.Targets) {
 			t.Fatalf("stream shards=%d: targets differ", tc.shards)
 		}
@@ -52,6 +50,9 @@ func TestStreamingMatchesRetained(t *testing.T) {
 		if s.Scanner.Stats != base.Scanner.Stats {
 			t.Fatalf("stream shards=%d: stats differ: %+v vs %+v",
 				tc.shards, s.Scanner.Stats, base.Scanner.Stats)
+		}
+		if !reflect.DeepEqual(s.Drops, base.Drops) {
+			t.Fatalf("stream shards=%d: drops %v, want %v", tc.shards, s.Drops, base.Drops)
 		}
 		if !reflect.DeepEqual(s.Report, base.Report) {
 			t.Fatalf("stream shards=%d: reports differ", tc.shards)
@@ -69,12 +70,14 @@ func TestStreamingMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestFoldMatchesRetained pins the fold engine's guarantee: a survey
-// run under Config.Fold — shard hit runs spilled to disk, the reduce
-// streaming their hierarchical merge through the reducers, the target
-// stream re-derived from the view — produces the identical Report,
-// stats and scalars as the retained engine, at several shard counts,
-// with the merged buffers never materialized.
+// TestFoldMatchesRetained pins the fold sink's guarantee: a survey run
+// under Config.Fold over a streaming population — shard hit runs
+// spilled to disk, the reduce streaming their hierarchical merge
+// through the reducers, the target stream re-derived from the view —
+// produces the identical Report, stats and scalars as the in-memory
+// single-shard run, at several shard counts and both plan modes
+// ({1,1} and {2,2} plan in the pool, {8,3} takes the count pass), with
+// the merged buffers never materialized.
 func TestFoldMatchesRetained(t *testing.T) {
 	cfg := SurveyConfig{
 		Population: ditl.Params{Seed: 7, ASes: 40},
@@ -89,15 +92,12 @@ func TestFoldMatchesRetained(t *testing.T) {
 		{1, 1}, {2, 2}, {8, 3},
 	} {
 		fcfg := cfg
-		fcfg.Fold = true
+		fcfg.Stream, fcfg.Fold = true, true
 		fcfg.Shards = tc.shards
 		fcfg.MaxParallel = tc.maxPar
 		s, err := RunSurvey(fcfg)
 		if err != nil {
 			t.Fatalf("fold shards=%d: %v", tc.shards, err)
-		}
-		if s.World != nil || s.Worlds != nil {
-			t.Fatalf("fold shards=%d retained worlds", tc.shards)
 		}
 		if s.Scanner.Targets != nil || s.Scanner.Hits != nil || s.Scanner.Partials != nil {
 			t.Fatalf("fold shards=%d materialized merged buffers", tc.shards)
@@ -105,6 +105,9 @@ func TestFoldMatchesRetained(t *testing.T) {
 		if s.Scanner.Stats != base.Scanner.Stats {
 			t.Fatalf("fold shards=%d: stats differ: %+v vs %+v",
 				tc.shards, s.Scanner.Stats, base.Scanner.Stats)
+		}
+		if !reflect.DeepEqual(s.Drops, base.Drops) {
+			t.Fatalf("fold shards=%d: drops %v, want %v", tc.shards, s.Drops, base.Drops)
 		}
 		if !reflect.DeepEqual(s.Report, base.Report) {
 			t.Fatalf("fold shards=%d: reports differ", tc.shards)
@@ -122,17 +125,19 @@ func TestFoldMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestStreamingChaosAndChurn pins the streaming engine under the
-// stressed paths: chaos faults and churn must produce the same merged
-// observations as the retained engine at the same shard count (the
-// fault schedule is keyed on causal identity and the campaign window,
-// both engine-invariant).
+// TestStreamingChaosAndChurn pins the stressed paths across the
+// population representation, the plan mode and the sink: chaos faults
+// and churn must produce the same merged observations over a
+// materialized population planned in the pool, a streaming one behind
+// the count pass, and the fold sink (the fault schedule is keyed on
+// causal identity and the campaign window, both invariant).
 func TestStreamingChaosAndChurn(t *testing.T) {
 	cfg := SurveyConfig{
 		Population:    ditl.Params{Seed: 7, ASes: 40},
 		Scanner:       scanner.Config{Seed: 8, Rate: 10000},
 		ChurnFraction: 0.1,
 		Shards:        3,
+		MaxParallel:   3,
 	}
 	cfg.Chaos = chaos.Default(99)
 	base, err := RunSurvey(cfg)
@@ -140,10 +145,10 @@ func TestStreamingChaosAndChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base.ChaosCrashes == 0 {
-		t.Fatal("chaos did not bite in the retained baseline")
+		t.Fatal("chaos did not bite in the baseline")
 	}
 	scfg := cfg
-	scfg.Stream = true
+	scfg.Stream, scfg.MaxParallel = true, 1
 	s, err := RunSurvey(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +163,8 @@ func TestStreamingChaosAndChurn(t *testing.T) {
 		t.Fatal("chaos stream: reports differ")
 	}
 
-	fcfg := cfg
-	fcfg.Fold = true
+	fcfg := scfg
+	fcfg.Fold, fcfg.MaxParallel = true, 2
 	f, err := RunSurvey(fcfg)
 	if err != nil {
 		t.Fatal(err)
