@@ -49,17 +49,17 @@ race:
 racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 
-# Short native-fuzz smoke over the wire parsers and the resolver
-# layer-stack builder (one -fuzz target per invocation is a go tool
+# Short native-fuzz smoke over the wire parsers and the fold engine's
+# run-file reader (one -fuzz target per invocation is a go tool
 # limitation). Raise FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
-	$(GO) test -run='^$$' -fuzz=FuzzStackBuild -fuzztime=$(FUZZTIME) ./internal/resolver
+	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
 
 # Resolver conformance: the differential suite proving the layered
-# middleware stack event-for-event identical to the frozen pre-refactor
-# monolith (internal/resolver/monolith) across the query × config ×
+# resolver (a fixed layer set derived from its Config) event-for-event
+# identical to the frozen pre-refactor monolith (internal/resolver/monolith) across the query × config ×
 # fault matrix, plus the forwarder-chain loop-detection property tests,
 # all under the race detector.
 conformance:

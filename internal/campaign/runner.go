@@ -124,9 +124,8 @@ type Result struct {
 	Invariants *world.InvariantReport
 	// ChaosCrashes is the number of resolver crashes the chaos schedule
 	// injected across all shards (0 without chaos). Each crash drops
-	// the crashed resolver's in-flight queries and asks every layer of
-	// its middleware stack to drop its soft state (cache flush when a
-	// cache layer is compiled in).
+	// the crashed resolver's in-flight queries and its soft state (the
+	// cache flushes, a forwarder chain's loop guard clears).
 	ChaosCrashes int
 }
 

@@ -1,10 +1,9 @@
 // Package chaos is the simulator's deterministic fault-injection layer:
 // link flaps, packet duplication, reordering and corruption, resolver
 // crash-and-restart, and per-AS clock skew. A crash's state loss is
-// per-middleware-layer: each layer of the crashed resolver's stack
-// drops its own soft state (the cache layer flushes; a stack without a
-// cache layer has no cache to lose), so what a crash costs follows from
-// the resolver's configuration, not from a hard-wired flush.
+// per-layer: each layer of the crashed resolver drops its own soft
+// state (the cache flushes; a forwarder chain's loop guard clears), so
+// what a crash costs follows from the resolver's configuration.
 //
 // Every fault decision is derived with internal/detrand causal-identity
 // hashing from the experiment seed plus the identity of the thing being

@@ -95,12 +95,14 @@ const hotPathMarker = "//doors:hotpath"
 // autoHotPath lists functions that are hot by construction — the
 // engine's per-event, per-probe and per-row paths — keyed by package
 // path suffix. They are checked even without a //doors:hotpath marker,
-// so a refactor cannot silently drop one from the proof obligation.
+// so a refactor cannot silently drop one from the proof obligation: a
+// listed name that resolves to no function in its package is reported
+// as stale (reportStale).
 var autoHotPath = map[string][]string{
 	"internal/eventq":   {"Queue.At", "Queue.After", "Queue.Step"},
 	"internal/detrand":  {"Mix", "HashBytes", "AddrWords", "Float64", "Intn"},
 	"internal/ditl":     {"ASSpec.NumResolvers", "ASSpec.Resolver", "resolverSlab.spec"},
-	"internal/resolver": {"aclLayer.Admit", "ACL.Allows", "forwardLayer.advance", "forwardLayer.OnFinish", "forwardLayer.OnCrash", "cacheLayer.OnCrash"},
+	"internal/resolver": {"ACL.Allows", "forwardLayer.advance", "forwardLayer.release", "forwardLayer.reset", "cache.flush"},
 	"internal/runs":     {"Merger.Next"},
 	"internal/scanner":  {"Scanner.sendPlanned", "Scanner.probeIDs", "Scanner.optedOut", "Categorize", "LessHit", "LessPartial"},
 	"internal/routing":  {"SubnetOf", "IsLoopback", "IsPrivate", "IsSpecialPurpose", "Registry.Routed", "Registry.OriginOf", "Trie.Lookup"},
@@ -259,6 +261,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 		s.scan(fa)
 		s.markHot(fa)
 	}
+	s.reportStale()
 
 	// Effect fixpoint over the package call graph: the lattice has
 	// height three and joins are monotone, so this terminates.
@@ -324,6 +327,38 @@ func (s *haState) markHot(fa *haFunc) {
 			if n == key {
 				fa.hot, fa.hotWhy = true, "auto-marked hot path"
 				return
+			}
+		}
+	}
+}
+
+// reportStale reports each autoHotPath name listed for the analyzed
+// package that resolves to no function in it — left behind by a rename
+// or deletion, it would otherwise drop out of the proof obligation
+// without a trace. The finding sits on the package clause of the
+// package's first non-test file.
+func (s *haState) reportStale() {
+	var pos token.Pos
+	for _, f := range s.pass.Files {
+		if !isTestFile(s.pass, f) {
+			pos = f.Name.Pos()
+			break
+		}
+	}
+	if !pos.IsValid() {
+		return
+	}
+	have := make(map[string]bool, len(s.order))
+	for _, fa := range s.order {
+		have[funcKey(fa.obj)] = true
+	}
+	for suffix, names := range autoHotPath {
+		if !pathHasSuffix(s.pass.Pkg.Path(), suffix) {
+			continue
+		}
+		for _, n := range names {
+			if !have[n] {
+				s.pass.Reportf(pos, "stale autoHotPath entry: %s names no function in %s", n, suffix)
 			}
 		}
 	}

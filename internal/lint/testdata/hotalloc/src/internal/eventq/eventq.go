@@ -1,7 +1,7 @@
 // Package eventq is a fixture stub whose import path suffix matches
 // the real event queue, so hotalloc's auto-mark table puts the proof
 // obligation on Queue.At/After/Step without any //doors:hotpath
-// marker in the source.
+// marker in the source. All three exist, so no entry is stale.
 package eventq
 
 // Queue mimics the real queue's shape.
@@ -19,6 +19,11 @@ func (q *Queue) At(x int) { // want `hot-path function Queue\.At \(auto-marked h
 // After self-appends: amortized, auto-marked, clean.
 func (q *Queue) After(x int) { // want After:`never`
 	q.items = append(q.items, x)
+}
+
+// Step reads only: auto-marked, clean.
+func (q *Queue) Step() int { // want Step:`never`
+	return q.n
 }
 
 // Unmarked is not in the auto-mark table: it may allocate freely.

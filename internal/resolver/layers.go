@@ -2,57 +2,70 @@ package resolver
 
 import (
 	"net/netip"
-	"time"
 
 	"repro/internal/dnswire"
 )
 
-// aclLayer refuses clients outside the configured ACL. An open ACL
-// compiles to no acl layer at all (DefaultStack), so open resolvers —
-// the vast majority of a survey population — skip the check entirely.
-type aclLayer struct{ r *Resolver }
-
-func (l *aclLayer) Name() string { return LayerACL }
-
-func (l *aclLayer) Admit(src netip.Addr) bool { return l.r.cfg.ACL.Allows(src) }
-
-// cacheLayer serves and maintains the positive/negative/delegation
-// cache. It owns crash semantics for cached state: a crash-and-restart
-// flushes, because the cache is process memory — and a stack compiled
-// without a cache layer has nothing to lose.
-type cacheLayer struct {
-	r *Resolver
-	c *cache
+// layerSet is the policy a resolver runs on top of its core, derived
+// once in New from the Config and the root hints (deriveLayers). The
+// core carries mechanism (wire I/O, transactions, timeouts, ports); the
+// layers carry policy, and the core calls them directly in one fixed
+// order (DESIGN.md §11):
+//
+//   - admission: the acl check, only when the ACL is closed;
+//   - resolve: the cache (always present), then forward, then iterate.
+//     A step no layer disposes of — a forwarder whose fraction excludes
+//     the name and no root hints, say — ends in SERVFAIL;
+//   - qmin rewrites the iterate layer's questions and supplies the
+//     policy for intermediate NXDOMAIN/NODATA responses;
+//   - crash: the cache flushes, then the forward loop guard clears;
+//   - finish: the forward loop guard releases the job's registration.
+//
+// Every re-entry into the resolve walk (r.step) spends one unit of the
+// job's depth budget (Config.MaxSteps), the loop bound: no layer can
+// recurse without spending. A layer mutates only its own state and the
+// job fields it owns (minConfirmed/fullFallback for qmin,
+// fwdHop/fwdGuarded/fwdGuard for forward); the core alone touches wire
+// state, pending transactions and the Stats counters it owns.
+type layerSet struct {
+	acl     bool // closed ACL: admit clients through ACL.Allows
+	qmin    bool // QnameMin with root hints (an iterative path to minimize)
+	forward bool // Forward or ForwardChain upstreams
+	iterate bool // root hints exist
 }
 
-func (l *cacheLayer) Name() string { return LayerCache }
+// deriveLayers computes the layer set a configuration implies. An open
+// ACL runs no acl check at all, so open resolvers — the vast majority
+// of a survey population — skip it, and a pure forwarder (no roots)
+// never consults qmin or iterate.
+func deriveLayers(roots []netip.Addr, cfg Config) layerSet {
+	return layerSet{
+		acl:     !cfg.ACL.Open,
+		qmin:    cfg.QnameMin && len(roots) > 0,
+		forward: len(cfg.Forward) > 0 || len(cfg.ForwardChain) > 0,
+		iterate: len(roots) > 0,
+	}
+}
 
-func (l *cacheLayer) Step(j *job, depth int) bool {
-	if rrs, ok := l.c.getPositive(j.qname, j.qtype); ok {
-		l.r.finish(j, dnswire.RCodeNoError, rrs)
+// serveCached answers j from the positive or negative cache, reporting
+// whether it did.
+func (r *Resolver) serveCached(j *job) bool {
+	if rrs, ok := r.cache.getPositive(j.qname, j.qtype); ok {
+		r.finish(j, dnswire.RCodeNoError, rrs)
 		return true
 	}
-	if l.c.getNegative(j.qname) {
-		l.r.finish(j, dnswire.RCodeNXDomain, nil)
+	if r.cache.getNegative(j.qname) {
+		r.finish(j, dnswire.RCodeNXDomain, nil)
 		return true
 	}
 	return false
 }
 
-func (l *cacheLayer) OnCrash(now time.Duration) { l.c.flush() }
-
-// qminLayer implements RFC 7816 QNAME minimization. It has no Step of
-// its own: it rewrites the iterate layer's outgoing question and
-// supplies the policy for intermediate NXDOMAIN/NODATA responses,
-// including the strict-vs-lenient fallback split of §3.6.4.
-type qminLayer struct{ r *Resolver }
-
-func (l *qminLayer) Name() string { return LayerQMin }
-
-// rewrite minimizes the question sent to zone's servers: one label
-// beyond what is already proven, as TypeNS, until the full name is
-// reached (or the job fell back to full-name queries).
-func (l *qminLayer) rewrite(j *job, zone dnswire.Name) (dnswire.Name, dnswire.Type) {
+// qminRewrite implements RFC 7816 QNAME minimization: the question sent
+// to zone's servers is one label beyond what is already proven, as
+// TypeNS, until the full name is reached (or the job fell back to
+// full-name queries).
+func (r *Resolver) qminRewrite(j *job, zone dnswire.Name) (dnswire.Name, dnswire.Type) {
 	if j.fullFallback {
 		return j.qname, j.qtype
 	}
@@ -67,29 +80,29 @@ func (l *qminLayer) rewrite(j *job, zone dnswire.Name) (dnswire.Name, dnswire.Ty
 	return j.qname, j.qtype
 }
 
-// onNXDomain handles NXDOMAIN for a minimized (intermediate) query.
+// qminNXDomain handles NXDOMAIN for a minimized (intermediate) query.
 // A lenient implementation distrusts the intermediate NXDOMAIN: it
 // neither caches it nor halts — it retries with the full name (RFC
 // 7816 fallback). Returning false leaves the strict path — cache per
 // RFC 8020 and halt (§3.6.4's 55%) — to the core, which treats it like
 // any other NXDOMAIN.
-func (l *qminLayer) onNXDomain(j *job, out *outstanding, msg *dnswire.Message) bool {
-	if !l.r.cfg.QnameMinLenient || j.fullFallback || out.qname.Equal(j.qname) {
+func (r *Resolver) qminNXDomain(j *job, out *outstanding) bool {
+	if !r.cfg.QnameMinLenient || j.fullFallback || out.qname.Equal(j.qname) {
 		return false
 	}
 	j.fullFallback = true
-	l.r.step(j)
+	r.step(j)
 	return true
 }
 
-// onNoData handles NODATA for a minimized query: the intermediate name
-// exists, so record the proven labels and descend.
-func (l *qminLayer) onNoData(j *job, out *outstanding) bool {
+// qminNoData handles NODATA for a minimized query: the intermediate
+// name exists, so record the proven labels and descend.
+func (r *Resolver) qminNoData(j *job, out *outstanding) bool {
 	if j.fullFallback || out.qname.Equal(j.qname) {
 		return false
 	}
 	j.minConfirmed = out.qname.CountLabels()
-	l.r.step(j)
+	r.step(j)
 	return true
 }
 
@@ -99,8 +112,7 @@ type fwdKey struct {
 	qtype dnswire.Type
 }
 
-// forwardLayer sends queries to configured upstreams instead of
-// recursing. Two modes:
+// forwardLayer is the forward layer's state. Two modes:
 //
 //   - Single-upstream (Config.Forward): one upstream is drawn per
 //     query, exactly the monolith's behaviour — including spending an
@@ -115,18 +127,17 @@ type fwdKey struct {
 //     immediately — in one round-trip instead of cascading timeouts,
 //     and never duplicates a probe for the looping question.
 type forwardLayer struct {
-	r        *Resolver
 	chain    []netip.Addr
 	inflight map[fwdKey]int // nil unless chain mode
 }
 
-func (l *forwardLayer) Name() string { return LayerForward }
-
-func (l *forwardLayer) Step(j *job, depth int) bool {
-	r := l.r
+// forward sends j upstream unless ForwardFraction excludes its name,
+// reporting whether it disposed of the step.
+func (r *Resolver) forward(j *job) bool {
 	if !r.forwardFractionHit(j.qname) {
 		return false
 	}
+	l := &r.fwd
 	if l.chain == nil {
 		up := r.cfg.Forward[r.rng.Intn(len(r.cfg.Forward))]
 		r.Stats.Forwarded++
@@ -161,10 +172,10 @@ func (l *forwardLayer) advance(j *job) (netip.Addr, bool) {
 	return l.chain[j.fwdHop], true
 }
 
-// OnFinish releases the loop-guard registration taken in Step. It
+// release drops the loop-guard registration forward took for j. It
 // reuses the key recorded at guard time — recomputing it would
 // re-canonicalize the qname, an allocation hotalloc forbids here.
-func (l *forwardLayer) OnFinish(j *job) {
+func (l *forwardLayer) release(j *job) {
 	if !j.fwdGuarded {
 		return
 	}
@@ -173,51 +184,30 @@ func (l *forwardLayer) OnFinish(j *job) {
 	if n := l.inflight[key]; n <= 1 {
 		delete(l.inflight, key)
 	} else {
-		//lint:allow hotalloc -- decrementing an existing in-flight count; the key was inserted by Step, so no bucket growth
+		//lint:allow hotalloc -- decrementing an existing in-flight count; the key was inserted by forward, so no bucket growth
 		l.inflight[key] = n - 1
 	}
 }
 
-// OnCrash drops the loop-guard registrations: the jobs they belong to
-// died with the process, so their OnFinish will never run.
-func (l *forwardLayer) OnCrash(now time.Duration) {
-	if l.inflight != nil {
-		clear(l.inflight)
+// reset drops every loop-guard registration on a crash: the jobs they
+// belong to died with the process, so their release will never run.
+func (l *forwardLayer) reset() { clear(l.inflight) }
+
+// iterate resolves j iteratively from the closest cached delegation
+// (or the root hints), minimizing the question when qmin is on.
+func (r *Resolver) iterate(j *job) {
+	zone, servers := dnswire.Root, r.Roots
+	if d, ok := r.cache.closestDelegation(j.qname); ok {
+		zone, servers = d.apex, d.addrs
 	}
-}
-
-// iterateLayer resolves iteratively from the closest known delegation
-// (or the root hints), consulting the qmin layer — when one is
-// compiled in — for the minimized question.
-type iterateLayer struct{ r *Resolver }
-
-func (l *iterateLayer) Name() string { return LayerIterate }
-
-func (l *iterateLayer) Step(j *job, depth int) bool {
-	r := l.r
-	if len(r.Roots) == 0 {
-		r.finish(j, dnswire.RCodeServFail, nil)
-		return true
-	}
-
-	zone := dnswire.Root
-	servers := r.Roots
-	if c := r.stack.cache; c != nil {
-		if d, ok := c.c.closestDelegation(j.qname); ok {
-			zone, servers = d.apex, d.addrs
-		}
-	}
-
 	qname, qtype := j.qname, j.qtype
-	if q := r.stack.qmin; q != nil {
-		qname, qtype = q.rewrite(j, zone)
+	if r.layers.qmin {
+		qname, qtype = r.qminRewrite(j, zone)
 	}
-
 	server, ok := r.pickServer(servers)
 	if !ok {
 		r.finish(j, dnswire.RCodeServFail, nil)
-		return true
+		return
 	}
 	r.sendUpstream(j, server, qname, qtype, false)
-	return true
 }

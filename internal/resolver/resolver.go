@@ -1,25 +1,24 @@
 // Package resolver implements the recursive DNS resolvers that populate
-// the simulated Internet as a stack of composable middleware layers.
+// the simulated Internet.
 //
 // A resolver is a small event-driven core — client-query admission,
 // upstream I/O (UDP retransmission, TCP retry on truncation), transaction
-// and port bookkeeping — plus a per-resolver compiled stack of Layer
-// values that carry all policy: client ACLs ("acl"), positive/negative/
-// delegation caching ("cache"), RFC 7816 QNAME minimization ("qmin"),
-// forwarding — single-upstream or multi-hop chains with loop detection —
-// ("forward"), and iterative resolution from root hints ("iterate").
-// Layers are registered by name; Config.Layers selects a stack
-// explicitly, and DefaultStack derives one from the rest of the
-// configuration so a resolver's hot path walks only the layers it
-// actually uses. See DESIGN.md §11 for the layer contract.
+// and port bookkeeping — plus a fixed set of policy layers: a client
+// ACL check, a positive/negative/delegation cache, RFC 7816 QNAME
+// minimization, forwarding (single-upstream or multi-hop chains with
+// loop detection), and iterative resolution from root hints. New
+// derives which layers a resolver runs from its Config and root hints —
+// the axes along which measured resolvers differ: open or closed ACL,
+// strict or lenient minimization, forwarding or iterating — so its hot
+// path consults only the layers it uses. See DESIGN.md §11.
 //
 // The package's behaviour is pinned by a differential conformance
 // harness against internal/resolver/monolith, a frozen copy of the
 // pre-refactor implementation: for every configuration the monolith can
-// express, the layered stack emits bit-identical events (packets, RNG
-// draws, cache-observer traces). New capability — forwarder chains,
-// loop detection, cache-less stacks — lives strictly outside that
-// shared configuration space.
+// express, the layered resolver emits bit-identical events (packets, RNG
+// draws, cache-observer traces). New capability — forwarder chains and
+// loop detection — lives strictly outside that shared configuration
+// space.
 package resolver
 
 import (
@@ -75,8 +74,8 @@ func (a ACL) Allows(src netip.Addr) bool {
 
 // Config parameterizes a resolver.
 type Config struct {
-	// ACL is the client access policy (enforced by the "acl" layer;
-	// an Open ACL compiles to no layer at all).
+	// ACL is the client access policy (enforced by the acl layer; an
+	// Open ACL runs no check at all).
 	ACL ACL
 	// Ports allocates source ports for outgoing queries.
 	Ports PortAllocator
@@ -111,8 +110,8 @@ type Config struct {
 	// (default 2).
 	Retries int
 	// MaxSteps bounds resolution work per client query (default 40).
-	// It is the job's depth budget: every re-entry into the layer
-	// stack spends one unit, and an exhausted budget ends the job with
+	// It is the job's depth budget: every re-entry into the resolve
+	// walk spends one unit, and an exhausted budget ends the job with
 	// SERVFAIL — the depth-based loop detection of the layer contract.
 	MaxSteps int
 	// Use0x20 randomizes query-name letter case on upstream queries
@@ -120,19 +119,15 @@ type Config struct {
 	// echo the exact case are rejected, adding ~1 bit of anti-spoofing
 	// entropy per letter on top of the port and transaction ID.
 	// 0x20 is a core wire transform, not a layer: it rewrites every
-	// upstream query whatever stack is compiled.
+	// upstream query whatever layers the resolver runs.
 	Use0x20 bool
 	// Seed seeds the resolver's private RNG (transaction IDs, server
 	// selection, port randomness).
 	Seed int64
 	// CacheObserver, when set, receives cache put/serve/flush events —
 	// the hook the world's invariant checker uses to assert TTL safety
-	// under churn and crash. Observed events are emitted by the cache
-	// layer; a stack compiled without one emits nothing.
+	// under churn and crash.
 	CacheObserver CacheObserver
-	// Layers names the middleware stack explicitly, in canonical order
-	// (see ValidateStack). nil derives DefaultStack(roots, cfg).
-	Layers []string
 }
 
 // Stats counts resolver activity.
@@ -163,8 +158,9 @@ type Resolver struct {
 	pending map[pendKey]*outstanding
 	portRef map[uint16]int
 
-	stack stack
-	lyr   layerSet
+	layers layerSet
+	cache  *cache
+	fwd    forwardLayer
 }
 
 type pendKey struct {
@@ -200,13 +196,13 @@ type job struct {
 	fullFallback bool   // lenient qmin switched to full-name queries
 	fwdHop       int    // current hop in a forwarder chain
 	fwdGuarded   bool   // job holds a loop-guard in-flight registration
-	fwdGuard     fwdKey // the registered key, kept so OnFinish releases it without re-canonicalizing
+	fwdGuard     fwdKey // the registered key, kept so release need not re-canonicalize
 	finished     bool
 }
 
 // New binds a resolver to host. roots are the root server addresses
-// (root hints). The middleware stack is cfg.Layers when set, otherwise
-// DefaultStack(roots, cfg).
+// (root hints). The layers it runs are derived from cfg and roots
+// (deriveLayers).
 func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 	if cfg.Ports == nil {
 		return nil, fmt.Errorf("resolver: %s: nil port allocator", host.Name)
@@ -231,13 +227,15 @@ func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 		rng:     detrand.Rand(uint64(cfg.Seed), saltStream),
 		pending: make(map[pendKey]*outstanding),
 		portRef: make(map[uint16]int),
+		layers:  deriveLayers(roots, cfg),
+		cache:   newCache(host.Network().Now),
 	}
-	names := cfg.Layers
-	if names == nil {
-		names = DefaultStack(roots, cfg)
+	if len(host.Addrs) > 0 {
+		r.cache.owner = host.Addrs[0]
 	}
-	if err := r.compileStack(names); err != nil {
-		return nil, fmt.Errorf("resolver: %s: %w", host.Name, err)
+	r.cache.obs = cfg.CacheObserver
+	if len(cfg.ForwardChain) > 0 {
+		r.fwd = forwardLayer{chain: cfg.ForwardChain, inflight: make(map[fwdKey]int)}
 	}
 	if err := host.BindUDP(53, r.dispatch); err != nil {
 		return nil, err
@@ -248,9 +246,6 @@ func New(host *netsim.Host, roots []netip.Addr, cfg Config) (*Resolver, error) {
 
 // Config returns the resolver's configuration.
 func (r *Resolver) Config() Config { return r.cfg }
-
-// StackNames returns the compiled middleware stack, outermost first.
-func (r *Resolver) StackNames() []string { return r.stack.names }
 
 // dispatch routes every received UDP datagram: responses to pending
 // upstream queries by (port, id); everything else is a client query.
@@ -288,7 +283,7 @@ func (r *Resolver) HandleQuery(now time.Duration, src netip.Addr, srcPort uint16
 	}
 	r.Stats.ClientQueries++
 	q := msg.Q()
-	if a := r.stack.admit; a != nil && !a.Admit(src) {
+	if r.layers.acl && !r.cfg.ACL.Allows(src) {
 		r.Stats.Refused++
 		rep := msg.Reply()
 		rep.RCode = dnswire.RCodeRefused
@@ -313,16 +308,14 @@ func (r *Resolver) reply(client netip.Addr, clientPort uint16, local netip.Addr,
 	r.Host.SendUDP(local, 53, client, clientPort, out)
 }
 
-// finish responds to the job's client and marks it complete, notifying
-// any layers holding per-job state (the forward layer's loop guard).
+// finish responds to the job's client and marks it complete, releasing
+// the forward layer's loop-guard registration for it.
 func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
 	if j.finished {
 		return
 	}
 	j.finished = true
-	for _, l := range r.stack.finish {
-		l.OnFinish(j)
-	}
+	r.fwd.release(j)
 	r.Stats.Responded++
 	if rcode == dnswire.RCodeServFail {
 		r.Stats.ServFail++
@@ -333,7 +326,7 @@ func (r *Resolver) finish(j *job, rcode dnswire.RCode, answers []dnswire.RR) {
 	r.reply(j.client, j.clientPort, j.local, rep)
 }
 
-// step re-enters the layer stack for j, spending one unit of its depth
+// step re-enters the resolve walk for j, spending one unit of its depth
 // budget; an exhausted budget ends the job with SERVFAIL.
 func (r *Resolver) step(j *job) {
 	if j.finished {
@@ -344,20 +337,24 @@ func (r *Resolver) step(j *job) {
 		r.finish(j, dnswire.RCodeServFail, nil)
 		return
 	}
-	r.resolve(j, j.depth)
+	r.resolve(j)
 }
 
-// resolve is the stack core: it walks the compiled step layers in
-// order until one disposes of the step (serves from cache, issues an
-// upstream query, or finishes the job). A stack whose layers all
-// decline — a forwarder whose fraction excludes the name and no
-// iterate layer, say — ends in SERVFAIL, exactly as the monolith's
-// fall-through did.
-func (r *Resolver) resolve(j *job, depth int) {
-	for _, l := range r.stack.steps {
-		if l.Step(j, depth) {
-			return
-		}
+// resolve tries the layers in order — cache, forward, iterate — until
+// one disposes of the step (serves from cache, issues an upstream
+// query, or finishes the job). A step all decline — a forwarder whose
+// fraction excludes the name and no root hints, say — ends in SERVFAIL,
+// exactly as the monolith's fall-through did.
+func (r *Resolver) resolve(j *job) {
+	if r.serveCached(j) {
+		return
+	}
+	if r.layers.forward && r.forward(j) {
+		return
+	}
+	if r.layers.iterate {
+		r.iterate(j)
+		return
 	}
 	r.finish(j, dnswire.RCodeServFail, nil)
 }
@@ -531,12 +528,12 @@ func (r *Resolver) retransmit(out *outstanding, rd bool) {
 }
 
 // upstreamFailed ends an upstream attempt whose retransmissions are
-// exhausted (or that answered uselessly). A forward layer with chain
-// hops remaining advances to the next hop; otherwise the job fails —
-// the monolith's unconditional SERVFAIL.
+// exhausted (or that answered uselessly). A forwarder chain with hops
+// remaining advances to the next hop; otherwise the job fails — the
+// monolith's unconditional SERVFAIL.
 func (r *Resolver) upstreamFailed(j *job, rd bool) {
-	if rd && r.stack.fwd != nil {
-		if next, ok := r.stack.fwd.advance(j); ok {
+	if rd {
+		if next, ok := r.fwd.advance(j); ok {
 			r.Stats.Forwarded++
 			r.sendUpstream(j, next, j.qname, j.qtype, true)
 			return
@@ -563,15 +560,15 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 
 	switch {
 	case msg.RCode == dnswire.RCodeNXDomain:
-		if q := r.stack.qmin; q != nil && q.onNXDomain(j, out, msg) {
+		if r.layers.qmin && r.qminNXDomain(j, out) {
 			return
 		}
-		r.stack.cacheNegative(out.qname, negativeTTL(msg))
+		r.cache.putNegative(out.qname, negativeTTL(msg))
 		r.finish(j, dnswire.RCodeNXDomain, nil)
 
 	case len(msg.Answer) > 0:
 		ttl := msg.Answer[0].TTL
-		r.stack.cachePositive(out.qname, out.qtype, msg.Answer, ttl)
+		r.cache.putPositive(out.qname, out.qtype, msg.Answer, ttl)
 		if out.qname.Equal(j.qname) && out.qtype == j.qtype {
 			r.finish(j, dnswire.RCodeNoError, msg.Answer)
 			return
@@ -586,12 +583,12 @@ func (r *Resolver) onResponse(out *outstanding, msg *dnswire.Message, viaTCP boo
 			r.finish(j, dnswire.RCodeServFail, nil)
 			return
 		}
-		r.stack.cacheDelegation(apex, addrs, ttl)
+		r.cache.putDelegation(apex, addrs, ttl)
 		r.step(j)
 
 	case msg.RCode == dnswire.RCodeNoError:
 		// NODATA: the name exists but has no records of this type.
-		if q := r.stack.qmin; q != nil && q.onNoData(j, out) {
+		if r.layers.qmin && r.qminNoData(j, out) {
 			return
 		}
 		r.finish(j, dnswire.RCodeNoError, nil)
@@ -703,29 +700,23 @@ func negativeTTL(msg *dnswire.Message) uint32 {
 }
 
 // CachedAnswer exposes the positive cache for inspection — used by the
-// attack simulator's verification step and by tests. A stack compiled
-// without a cache layer has nothing to expose.
+// attack simulator's verification step and by tests.
 func (r *Resolver) CachedAnswer(name dnswire.Name, typ dnswire.Type) ([]dnswire.RR, bool) {
-	if r.stack.cache == nil {
-		return nil, false
-	}
-	return r.stack.cache.c.getPositive(name, typ)
+	return r.cache.getPositive(name, typ)
 }
 
-// Crash simulates a process crash and immediate restart: every layer
-// holding soft state drops it (the cache layer flushes — a stack
-// without one has no cache to lose and survives with nothing but its
-// pending queries abandoned), every in-flight upstream query is
-// abandoned (its response, if it arrives, no longer matches any pending
-// state), and ephemeral ports are released. Clients whose queries were
-// in flight simply never hear back — exactly what a restarted resolver
-// looks like from outside. The port-53 service binding survives because
+// Crash simulates a process crash and immediate restart: the layers
+// holding soft state drop it (the cache flushes, then the forward loop
+// guard clears), every in-flight upstream query is abandoned (its
+// response, if it arrives, no longer matches any pending state), and
+// ephemeral ports are released. Clients whose queries were in flight
+// simply never hear back — exactly what a restarted resolver looks like
+// from outside. The port-53 service binding survives because
 // the supervisor restarts the process instantly in virtual time.
 func (r *Resolver) Crash(now time.Duration) {
 	r.Stats.Crashes++
-	for _, l := range r.stack.crash {
-		l.OnCrash(now)
-	}
+	r.cache.flush()
+	r.fwd.reset()
 	for key, out := range r.pending {
 		out.done = true
 		delete(r.pending, key)

@@ -1,9 +1,8 @@
 package resolver
 
-// Tests for the layer stack itself: ValidateStack/DefaultStack rules,
-// forwarder-chain advancement, loop detection (deterministic cycles and
-// detrand-seeded random topologies), the crash-without-cache-layer
-// regression, and the FuzzStackBuild target.
+// Tests for the resolver's layer set: the shapes New derives from
+// Config, forwarder-chain advancement, loop detection (deterministic
+// cycles and detrand-seeded random topologies), and crash semantics.
 
 import (
 	"fmt"
@@ -21,76 +20,96 @@ import (
 	"repro/internal/routing"
 )
 
-func TestValidateStack(t *testing.T) {
-	cases := []struct {
-		names []string
-		ok    bool
-	}{
-		{[]string{"acl", "cache", "qmin", "forward", "iterate"}, true},
-		{[]string{"cache", "iterate"}, true},
-		{[]string{"forward"}, true},
-		{[]string{"iterate"}, true},
-		{[]string{"acl", "cache", "forward"}, true},
-		{[]string{}, false},                           // no resolution layer
-		{[]string{"acl", "cache"}, false},             // no resolution layer
-		{[]string{"cache", "acl", "iterate"}, false},  // out of order
-		{[]string{"cache", "cache", "iterate"}, false}, // duplicate
-		{[]string{"cache", "qmin", "forward"}, false}, // qmin without iterate
-		{[]string{"cache", "bogus", "iterate"}, false}, // unknown
+// stackHost attaches a fresh host per case, so each New call below
+// builds a resolver from scratch on its own address.
+func stackHost(t *testing.T) func(name string) *netsim.Host {
+	t.Helper()
+	reg := routing.NewRegistry()
+	resAS := &routing.AS{ASN: 20, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}}
+	if err := reg.Add(resAS); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		err := ValidateStack(c.names)
-		if (err == nil) != c.ok {
-			t.Errorf("ValidateStack(%v) = %v, want ok=%t", c.names, err, c.ok)
+	n := netsim.New(reg, netsim.Config{Seed: 7})
+	next := 0
+	return func(name string) *netsim.Host {
+		t.Helper()
+		next++
+		host, err := n.Attach(name, resAS, addr(fmt.Sprintf("198.51.100.%d", 90+next)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return host
 	}
 }
 
+// TestDefaultStackShapes pins the layer set New derives from Config
+// and the root hints for every resolver shape the survey builds.
 func TestDefaultStackShapes(t *testing.T) {
 	roots := []netip.Addr{addr("192.0.9.1")}
 	up := []netip.Addr{addr("192.0.9.8")}
+	ports := &FixedPort{Port: 53}
 	cases := []struct {
 		name  string
 		roots []netip.Addr
 		cfg   Config
-		want  string
+		want  layerSet
 	}{
-		{"open-iterative", roots, Config{ACL: ACL{Open: true}}, "cache iterate"},
-		{"closed-iterative", roots, Config{}, "acl cache iterate"},
-		{"qmin", roots, Config{ACL: ACL{Open: true}, QnameMin: true}, "cache qmin iterate"},
-		{"pure-forwarder", nil, Config{ACL: ACL{Open: true}, Forward: up}, "cache forward"},
-		{"chain-forwarder", nil, Config{ACL: ACL{Open: true}, ForwardChain: up}, "cache forward"},
-		{"mixed", roots, Config{ACL: ACL{Open: true}, Forward: up, ForwardFraction: 0.5}, "cache forward iterate"},
-		{"qmin-forwarder-no-roots", nil, Config{ACL: ACL{Open: true}, Forward: up, QnameMin: true}, "cache forward"},
+		{"open-iterative", roots, Config{ACL: ACL{Open: true}, Ports: ports},
+			layerSet{iterate: true}},
+		{"closed-iterative", roots, Config{Ports: ports},
+			layerSet{acl: true, iterate: true}},
+		{"qmin", roots, Config{ACL: ACL{Open: true}, Ports: ports, QnameMin: true},
+			layerSet{qmin: true, iterate: true}},
+		{"pure-forwarder", nil, Config{ACL: ACL{Open: true}, Ports: ports, Forward: up},
+			layerSet{forward: true}},
+		{"chain-forwarder", nil, Config{ACL: ACL{Open: true}, Ports: ports, ForwardChain: up},
+			layerSet{forward: true}},
+		{"mixed", roots, Config{ACL: ACL{Open: true}, Ports: ports, Forward: up, ForwardFraction: 0.5},
+			layerSet{forward: true, iterate: true}},
+		{"qmin-forwarder-no-roots", nil, Config{ACL: ACL{Open: true}, Ports: ports, Forward: up, QnameMin: true},
+			layerSet{forward: true}},
 	}
+	attach := stackHost(t)
 	for _, c := range cases {
-		got := strings.Join(DefaultStack(c.roots, c.cfg), " ")
-		if got != c.want {
-			t.Errorf("%s: DefaultStack = %q, want %q", c.name, got, c.want)
-		}
-		if err := ValidateStack(DefaultStack(c.roots, c.cfg)); err != nil {
-			t.Errorf("%s: default stack invalid: %v", c.name, err)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			r, err := New(attach(c.name), c.roots, c.cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if r.layers != c.want {
+				t.Errorf("layers = %+v, want %+v", r.layers, c.want)
+			}
+			if r.cache == nil {
+				t.Error("no cache: every resolver runs one")
+			}
+			if chain := r.fwd.inflight != nil; chain != (len(c.cfg.ForwardChain) > 0) {
+				t.Errorf("loop guard armed = %t, want it armed only for chains", chain)
+			}
+		})
 	}
 }
 
+// TestNewRejectsBadStacks pins the configurations New must reject.
 func TestNewRejectsBadStacks(t *testing.T) {
-	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 30})
-	host, err := h.net.Attach("stacky", h.resAS, addr("198.51.100.90"))
-	if err != nil {
-		t.Fatal(err)
+	roots := []netip.Addr{addr("192.0.9.1")}
+	up := []netip.Addr{addr("192.0.9.8")}
+	ports := &FixedPort{Port: 53}
+	cases := []struct {
+		name  string
+		roots []netip.Addr
+		cfg   Config
+	}{
+		{"forward-and-chain", roots, Config{ACL: ACL{Open: true}, Ports: ports, Forward: up, ForwardChain: up}},
+		{"nil-ports", roots, Config{ACL: ACL{Open: true}}},
+		{"no-roots-no-forwarders", nil, Config{ACL: ACL{Open: true}, Ports: ports}},
 	}
-	bad := []Config{
-		{ACL: ACL{Open: true}, Ports: &FixedPort{Port: 53}, Layers: []string{"cache"}},
-		{ACL: ACL{Open: true}, Ports: &FixedPort{Port: 53}, Layers: []string{"iterate", "cache"}},
-		{ACL: ACL{Open: true}, Ports: &FixedPort{Port: 53}, Layers: []string{"cache", "forward"}}, // no upstreams configured
-		{ACL: ACL{Open: true}, Ports: &FixedPort{Port: 53},
-			Forward: []netip.Addr{addr("192.0.9.8")}, ForwardChain: []netip.Addr{addr("192.0.9.8")}},
-	}
-	for i, cfg := range bad {
-		if _, err := New(host, h.res.Roots, cfg); err == nil {
-			t.Errorf("case %d: New accepted invalid stack config %+v", i, cfg)
-		}
+	attach := stackHost(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := New(attach(c.name), c.roots, c.cfg); err == nil {
+				t.Fatalf("New accepted invalid config %+v", c.cfg)
+			}
+		})
 	}
 }
 
@@ -319,89 +338,8 @@ func TestLoopDetectionPropertyRandomTopologies(t *testing.T) {
 	}
 }
 
-// TestCrashWithoutCacheLayerSurvives is the regression test for the
-// crash-flush fix: a stack compiled without a cache layer must survive
-// Crash cleanly — no panic, no CacheFlush event — and keep serving.
-func TestCrashWithoutCacheLayerSurvives(t *testing.T) {
-	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 34})
-	upHost, err := h.net.Attach("upstream", h.net.Registry.AS(10), addr("192.0.9.8"), addr("2001:db8:9::8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(upHost, h.res.Roots, Config{
-		ACL:   ACL{Open: true},
-		Ports: NewUniform(oskernel.PoolIANA, rand.New(rand.NewSource(2))),
-		Seed:  57,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	obs := &traceObs{}
-	host, err := h.net.Attach("cacheless", h.resAS, addr("198.51.100.80"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(host, nil, Config{
-		ACL:           ACL{Open: true},
-		Ports:         NewUniform(oskernel.PoolLinux, rand.New(rand.NewSource(9))),
-		Forward:       []netip.Addr{addr("192.0.9.8")},
-		Layers:        []string{LayerForward}, // no cache layer at all
-		Seed:          400,
-		CacheObserver: obs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(r.StackNames(), " "); got != "forward" {
-		t.Fatalf("stack = %q, want bare forward", got)
-	}
-
-	ask := func(id uint16, name dnswire.Name) *dnswire.Message {
-		var got *dnswire.Message
-		h.client.UnbindUDP(44000)
-		h.client.BindUDP(44000, func(now time.Duration, src netip.Addr, sp uint16, dst netip.Addr, dp uint16, payload []byte) {
-			if m, err := dnswire.Unpack(payload); err == nil && m.QR {
-				got = m
-			}
-		})
-		q := dnswire.NewQuery(id, name, dnswire.TypeA)
-		payload, _ := q.Pack()
-		h.client.SendUDP(addr("192.0.2.10"), 44000, addr("198.51.100.80"), 53, payload)
-		h.net.Run()
-		return got
-	}
-
-	h.authZone.AddAddr("alive.dns-lab.org", addr("192.0.9.103"), 300)
-	if resp := ask(1, "alive.dns-lab.org"); resp == nil || resp.RCode != dnswire.RCodeNoError {
-		t.Fatalf("pre-crash resp = %+v", resp)
-	}
-
-	r.Crash(h.net.Now()) // must not panic, must not emit CacheFlush
-	if r.Stats.Crashes != 1 {
-		t.Fatalf("stats = %+v", r.Stats)
-	}
-	for _, e := range obs.events {
-		if strings.HasPrefix(e, "flush") {
-			t.Fatalf("cache-less stack emitted a flush on crash: %v", obs.events)
-		}
-	}
-	if len(r.pending) != 0 {
-		t.Fatalf("pending not dropped on crash: %d", len(r.pending))
-	}
-
-	if resp := ask(2, "alive.dns-lab.org"); resp == nil || resp.RCode != dnswire.RCodeNoError {
-		t.Fatalf("post-crash resp = %+v", resp)
-	}
-	// No cache layer: nothing is ever cached, observed, or served stale.
-	if len(obs.events) != 0 {
-		t.Fatalf("cache-less stack emitted cache events: %v", obs.events)
-	}
-	if _, ok := r.CachedAnswer("alive.dns-lab.org", dnswire.TypeA); ok {
-		t.Fatal("CachedAnswer returned a hit from a stack with no cache layer")
-	}
-}
-
-// TestCrashWithCacheLayerFlushes pins the inverse: with a cache layer,
-// Crash flushes exactly once through the layer.
+// TestCrashWithCacheLayerFlushes pins the crash semantics of the cache
+// every resolver runs: Crash flushes it exactly once.
 func TestCrashWithCacheLayerFlushes(t *testing.T) {
 	obs := &traceObs{}
 	h := buildHierarchy(t, Config{ACL: ACL{Open: true}, Seed: 35, CacheObserver: obs})
@@ -423,70 +361,4 @@ func TestCrashWithCacheLayerFlushes(t *testing.T) {
 	if flushes != 1 {
 		t.Fatalf("crash emitted %d flush events, want 1 (trace: %v)", flushes, obs.events)
 	}
-}
-
-// FuzzStackBuild: arbitrary comma-separated layer-name lists must
-// either build a valid resolver stack or fail cleanly — never panic,
-// and never compile a stack whose walk order deviates from canonical
-// rank order.
-func FuzzStackBuild(f *testing.F) {
-	f.Add("acl,cache,qmin,forward,iterate")
-	f.Add("cache,iterate")
-	f.Add("forward")
-	f.Add("")
-	f.Add("iterate,cache")
-	f.Add("cache,cache")
-	f.Add("bogus")
-	f.Add("acl,forward,iterate")
-	f.Add("qmin")
-	f.Add(strings.Repeat("cache,", 40) + "iterate")
-
-	reg := routing.NewRegistry()
-	resAS := &routing.AS{ASN: 20, Prefixes: []netip.Prefix{prefix("198.51.100.0/24")}}
-	if err := reg.Add(resAS); err != nil {
-		f.Fatal(err)
-	}
-	n := netsim.New(reg, netsim.Config{Seed: 7})
-	next := 1
-
-	rank := map[string]int{"acl": 0, "cache": 1, "qmin": 2, "forward": 3, "iterate": 4}
-
-	f.Fuzz(func(t *testing.T, spec string) {
-		var names []string
-		if spec != "" {
-			names = strings.Split(spec, ",")
-		}
-		err := ValidateStack(names)
-		if err != nil {
-			return // clean failure is a correct outcome
-		}
-		// A validated stack must build (the config below satisfies every
-		// layer's needs: upstreams for forward, roots for iterate).
-		next++
-		host, aerr := n.Attach(fmt.Sprintf("fuzz%d", next), resAS, addr(fmt.Sprintf("198.51.100.%d", 1+next%200)))
-		if aerr != nil {
-			t.Skip("address space exhausted")
-		}
-		r, nerr := New(host, []netip.Addr{addr("192.0.9.1")}, Config{
-			ACL:     ACL{Open: true},
-			Ports:   &FixedPort{Port: 53},
-			Forward: []netip.Addr{addr("192.0.9.8")},
-			Layers:  names,
-			Seed:    1,
-		})
-		if nerr != nil {
-			t.Fatalf("validated stack %v failed to build: %v", names, nerr)
-		}
-		last := -1
-		for _, name := range r.StackNames() {
-			rk, ok := rank[name]
-			if !ok {
-				t.Fatalf("compiled stack contains unregistered layer %q", name)
-			}
-			if rk <= last {
-				t.Fatalf("compiled stack %v out of canonical order", r.StackNames())
-			}
-			last = rk
-		}
-	})
 }

@@ -31,6 +31,11 @@ import (
 // runMagic guards against feeding an unrelated file to the merge.
 const runMagic = "DRUN1"
 
+// maxSYNLen bounds a spilled SYN's length: the capture is one IP
+// datagram, which is at most 65535 bytes. A longer length can only come
+// from a corrupt file, and must not size an allocation.
+const maxSYNLen = 65535
+
 // HitRunWriter streams a sorted hit run to disk.
 type HitRunWriter struct {
 	f   *os.File
@@ -223,20 +228,13 @@ func (r *HitRunReader) Next() (Hit, bool) {
 	if err != nil {
 		r.fail(err)
 	}
-	if r.err == nil && flag == 1 {
-		n := r.uvarint()
-		if r.err == nil {
-			raw := make([]byte, n)
-			if _, err := io.ReadFull(r.r, raw); err != nil {
-				r.fail(err)
-			} else {
-				p, err := packet.Decode(raw)
-				if err != nil {
-					r.fail(fmt.Errorf("runfile: spilled SYN does not decode: %w", err))
-				} else {
-					h.SYN = p
-				}
-			}
+	if r.err == nil {
+		switch flag {
+		case 0:
+		case 1:
+			h.SYN = r.readSYN()
+		default:
+			r.fail(fmt.Errorf("runfile: bad SYN flag %d", flag))
 		}
 	}
 	if r.err != nil {
@@ -246,6 +244,29 @@ func (r *HitRunReader) Next() (Hit, bool) {
 		return Hit{}, false
 	}
 	return h, true
+}
+
+// readSYN decodes a spilled SYN: its length, then its wire bytes.
+func (r *HitRunReader) readSYN() *packet.Packet {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > maxSYNLen {
+		r.fail(fmt.Errorf("runfile: spilled SYN length %d exceeds %d", n, maxSYNLen))
+		return nil
+	}
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(r.r, raw); err != nil {
+		r.fail(err)
+		return nil
+	}
+	p, err := packet.Decode(raw)
+	if err != nil {
+		r.fail(fmt.Errorf("runfile: spilled SYN does not decode: %w", err))
+		return nil
+	}
+	return p
 }
 
 // Err implements runs.Source: nil after a clean drain, else the first
