@@ -2,12 +2,13 @@ GO ?= go
 FUZZTIME ?= 5s
 BIN ?= bin
 
-.PHONY: check build vet lint pragmas test race racestress fuzz bench conformance
+.PHONY: check build vet lint pragmas test race racestress fuzz surveybench bench conformance
 
 # Tier-1 verification: build + vet + determinism lint + full tests +
 # race detector over the parallel sharded engine + the concurrency
-# cross-validation harness + a short fuzz smoke over the wire parsers.
-check: build vet lint test race racestress fuzz
+# cross-validation harness + a short fuzz smoke over the wire parsers +
+# the benchmark module's vet and tests.
+check: build vet lint test race racestress fuzz surveybench
 
 build:
 	$(GO) build ./...
@@ -56,6 +57,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
+
+# The survey benchmark is a separate module (surveybench/go.mod), so
+# `go build ./...` here never compiles it; vet and test it explicitly so
+# an internal API change cannot break the benchmark unnoticed.
+surveybench:
+	$(GO) -C surveybench vet ./...
+	$(GO) -C surveybench test ./...
 
 # Resolver conformance: the differential suite proving the layered
 # resolver (a fixed layer set derived from its Config) event-for-event

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/ditl"
+	"repro/internal/netsim"
 	"repro/internal/scanner"
 	"repro/internal/world"
 )
@@ -34,6 +35,11 @@ func TestSmallSurveyEndToEnd(t *testing.T) {
 	}
 	if r.V4.ReachableAddrs == 0 {
 		t.Fatalf("no reachable v4 addresses (hits=%d)", len(s.Scanner.Hits))
+	}
+	// With no chaos nothing corrupts a datagram in flight, so every packet
+	// a host built must parse at the next hop.
+	if n := s.Drops[netsim.DropMalformed]; n != 0 {
+		t.Errorf("%d packets dropped as malformed in a survey without chaos", n)
 	}
 
 	// Headline shapes (§4): AS-level reachability near half; IP-level in

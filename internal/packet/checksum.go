@@ -28,29 +28,18 @@ func foldSum(sum uint32) uint16 {
 // Checksum computes the Internet checksum (RFC 1071) of data.
 func Checksum(data []byte) uint16 { return foldSum(onesSum(0, data)) }
 
-// pseudoHeaderSum computes the ones'-complement sum of the IPv4 or IPv6
-// pseudo-header used by UDP and TCP checksums.
-func pseudoHeaderSum(src, dst netip.Addr, proto uint8, length int) uint32 {
-	var sum uint32
-	if addrIs4(src) && addrIs4(dst) {
-		s4, d4 := src.As4(), dst.As4()
-		sum = onesSum(sum, s4[:])
-		sum = onesSum(sum, d4[:])
-		sum += uint32(proto)
-		sum += uint32(length)
-		return sum
+// segmentSum computes the UDP/TCP checksum of segment over the IPv4 or
+// IPv6 pseudo-header. With the segment's checksum field zeroed it is the
+// value to send; with the received field in place it is zero for an
+// intact segment (RFC 1071 §2).
+func segmentSum(src, dst netip.Addr, proto uint8, segment []byte) uint16 {
+	sum := uint32(proto) + uint32(len(segment))
+	if src.Is4() && dst.Is4() {
+		s, d := src.As4(), dst.As4()
+		sum = onesSum(onesSum(sum, s[:]), d[:])
+	} else {
+		s, d := src.As16(), dst.As16()
+		sum = onesSum(onesSum(sum, s[:]), d[:])
 	}
-	s16, d16 := src.As16(), dst.As16()
-	sum = onesSum(sum, s16[:])
-	sum = onesSum(sum, d16[:])
-	sum += uint32(length)
-	sum += uint32(proto)
-	return sum
-}
-
-// TransportChecksum computes the UDP/TCP checksum over the pseudo-header
-// and segment. segment must already have its checksum field zeroed.
-func TransportChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, proto, len(segment))
 	return foldSum(onesSum(sum, segment))
 }

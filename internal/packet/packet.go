@@ -1,8 +1,9 @@
 // Package packet implements the wire formats carried on simulated links:
-// IPv4, IPv6, UDP, and TCP. The design follows the layered model used by
-// gopacket: each protocol is a Layer that can decode itself from bytes
-// and serialize itself into a prepend-oriented buffer, so a full packet
-// is built by serializing layers from the innermost payload outward.
+// IPv4, IPv6, UDP, and TCP. BuildUDP and BuildTCP write a whole
+// datagram — IP header, transport header, payload and checksums — into
+// one slice sized up front; Decode parses the IP header and then the
+// transport header straight from the received bytes, verifying every
+// checksum in place.
 //
 // Packets inside the simulator are real bytes. Border filters, kernels,
 // and endpoints all parse the same serialized representation, so the
@@ -15,183 +16,104 @@ import (
 	"net/netip"
 )
 
-// LayerType identifies a protocol layer.
-type LayerType uint8
-
-const (
-	LayerTypeNone LayerType = iota
-	LayerTypeIPv4
-	LayerTypeIPv6
-	LayerTypeUDP
-	LayerTypeTCP
-	LayerTypePayload
-)
-
-// String returns the conventional protocol name.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeIPv6:
-		return "IPv6"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypePayload:
-		return "Payload"
-	default:
-		return "None"
-	}
-}
-
-// Layer is a decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the protocol.
-	LayerType() LayerType
-	// DecodeFromBytes parses data into the receiver, replacing any
-	// previous state.
-	DecodeFromBytes(data []byte) error
-	// NextLayerType reports the type of the layer carried in this
-	// layer's payload, or LayerTypeNone if unknown/none.
-	NextLayerType() LayerType
-	// LayerPayload returns the bytes carried by this layer, valid after
-	// DecodeFromBytes.
-	LayerPayload() []byte
-}
-
-// SerializableLayer is a Layer that can write itself into a SerializeBuffer.
-type SerializableLayer interface {
-	Layer
-	// SerializeTo prepends the layer onto b. The current contents of b
-	// are treated as this layer's payload (so lengths and checksums can
-	// be computed).
-	SerializeTo(b *SerializeBuffer) error
-}
-
 // IP protocol numbers used by the simulator.
 const (
 	IPProtoTCP = 6
 	IPProtoUDP = 17
 )
 
-// SerializeBuffer builds packets by prepending. It mirrors gopacket's
-// SerializeBuffer: serialize the payload first, then each header from the
-// innermost outward; each SerializeTo call prepends its header bytes.
-type SerializeBuffer struct {
-	data  []byte // window within backing
-	start int    // offset of data[0] within backing
-	back  []byte
+const (
+	ipv4MinLen    = 20
+	ipv6HeaderLen = 40
+	udpHeaderLen  = 8
+	tcpMinLen     = 20
+)
+
+// IPv4 is an IPv4 header (RFC 791). Options are not modeled; IHL is
+// always 5 on serialization and options are skipped on decode.
+type IPv4 struct {
+	TOS      uint8
+	ID       uint16
+	DontFrag bool
+	TTL      uint8
+	Protocol uint8
+	Src, Dst netip.Addr
 }
 
-// NewSerializeBuffer returns a buffer with room for typical headers.
-func NewSerializeBuffer() *SerializeBuffer {
-	const prepend = 128
-	b := &SerializeBuffer{back: make([]byte, prepend, prepend+512)}
-	b.start = prepend
-	b.data = b.back[prepend:prepend]
-	return b
+// IPv6 is an IPv6 fixed header (RFC 8200). Extension headers are not
+// modeled; NextHeader is the transport protocol directly.
+type IPv6 struct {
+	TrafficClass uint8
+	FlowLabel    uint32 // 20 bits
+	NextHeader   uint8
+	HopLimit     uint8
+	Src, Dst     netip.Addr
 }
 
-// Bytes returns the current packet contents. The slice is invalidated by
-// further Prepend/Append calls.
-func (b *SerializeBuffer) Bytes() []byte { return b.data }
+// UDP is a UDP header (RFC 768).
+type UDP struct {
+	SrcPort, DstPort uint16
+}
 
-// Len reports the current packet length.
-func (b *SerializeBuffer) Len() int { return len(b.data) }
+// Packet is a fully decoded IP datagram as seen on a simulated link.
+type Packet struct {
+	// Exactly one of V4/V6 is non-nil.
+	V4 *IPv4
+	V6 *IPv6
+	// Exactly one of UDP/TCP is non-nil for transport datagrams the
+	// simulator understands; both nil means an unknown protocol.
+	UDP *UDP
+	TCP *TCP
+	// Data is the transport payload.
+	Data []byte
+	// Raw is the original wire representation.
+	Raw []byte
+}
 
-// Clear resets the buffer to empty, retaining backing storage.
-func (b *SerializeBuffer) Clear() {
-	b.start = len(b.back)
-	if b.start == 0 {
-		b.back = make([]byte, 128)
-		b.start = 128
+// Src returns the network-layer source address.
+func (p *Packet) Src() netip.Addr {
+	if p.V4 != nil {
+		return p.V4.Src
 	}
-	b.data = b.back[b.start:b.start]
+	return p.V6.Src
 }
 
-// PrependBytes returns a slice of n fresh bytes at the front of the packet.
-func (b *SerializeBuffer) PrependBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative prepend")
+// Dst returns the network-layer destination address.
+func (p *Packet) Dst() netip.Addr {
+	if p.V4 != nil {
+		return p.V4.Dst
 	}
-	if b.start < n {
-		// Grow headroom.
-		grow := n - b.start + 128
-		nb := make([]byte, len(b.back)+grow)
-		copy(nb[grow:], b.back)
-		b.back = nb
-		b.start += grow
-	}
-	b.start -= n
-	b.data = b.back[b.start : b.start+n+len(b.data)]
-	return b.data[:n]
+	return p.V6.Dst
 }
 
-// AppendBytes returns a slice of n fresh bytes at the end of the packet.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative append")
+// IsIPv6 reports whether the packet is IPv6.
+func (p *Packet) IsIPv6() bool { return p.V6 != nil }
+
+// SrcPort returns the transport source port (0 if no transport layer).
+func (p *Packet) SrcPort() uint16 {
+	switch {
+	case p.UDP != nil:
+		return p.UDP.SrcPort
+	case p.TCP != nil:
+		return p.TCP.SrcPort
 	}
-	end := b.start + len(b.data)
-	if end+n > len(b.back) {
-		nb := make([]byte, end+n+256)
-		copy(nb, b.back)
-		b.back = nb
-	}
-	b.back = b.back[:cap(b.back)]
-	b.data = b.back[b.start : end+n]
-	return b.data[len(b.data)-n:]
+	return 0
 }
 
-// Serialize writes layers (outermost first) around the given payload and
-// returns the packet bytes. It is the convenience entry point used by
-// endpoints: Serialize(payload, udp, ip) produces ip(udp(payload)).
-func Serialize(payload []byte, layers ...SerializableLayer) ([]byte, error) {
-	b := NewSerializeBuffer()
-	if len(payload) > 0 {
-		copy(b.AppendBytes(len(payload)), payload)
+// DstPort returns the transport destination port (0 if no transport layer).
+func (p *Packet) DstPort() uint16 {
+	switch {
+	case p.UDP != nil:
+		return p.UDP.DstPort
+	case p.TCP != nil:
+		return p.TCP.DstPort
 	}
-	for _, l := range layers {
-		if err := l.SerializeTo(b); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	return out, nil
+	return 0
 }
 
-// Payload is a raw application payload layer.
-type Payload []byte
-
-// LayerType implements Layer.
-func (p *Payload) LayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements Layer.
-func (p *Payload) DecodeFromBytes(data []byte) error {
-	*p = append((*p)[:0], data...)
-	return nil
-}
-
-// NextLayerType implements Layer.
-func (p *Payload) NextLayerType() LayerType { return LayerTypeNone }
-
-// LayerPayload implements Layer.
-func (p *Payload) LayerPayload() []byte { return nil }
-
-// SerializeTo implements SerializableLayer.
-func (p *Payload) SerializeTo(b *SerializeBuffer) error {
-	copy(b.PrependBytes(len(*p)), *p)
-	return nil
-}
-
-// addrIs4 reports whether a is a plain IPv4 address (not 4-in-6).
-func addrIs4(a netip.Addr) bool { return a.Is4() }
-
-// DecodeError reports a malformed packet.
+// DecodeError reports a malformed packet, or one that cannot be built.
 type DecodeError struct {
-	Layer  LayerType
+	Layer  string // "IP", "IPv4", "IPv6", "UDP" or "TCP"
 	Reason string
 }
 
@@ -200,6 +122,6 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("packet: bad %s: %s", e.Layer, e.Reason)
 }
 
-func decodeErr(t LayerType, reason string) error {
-	return &DecodeError{Layer: t, Reason: reason}
+func decodeErr(layer, reason string) error {
+	return &DecodeError{Layer: layer, Reason: reason}
 }

@@ -3,8 +3,10 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -34,60 +36,186 @@ func TestChecksumOddLength(t *testing.T) {
 }
 
 func TestIPv4RoundTrip(t *testing.T) {
-	ip := &IPv4{TOS: 0x10, ID: 0x1234, DontFrag: true, TTL: 61, Protocol: IPProtoUDP, Src: v4a, Dst: v4b}
 	payload := []byte("hello world")
-	raw, err := Serialize(payload, ip)
+	raw, err := BuildUDP(v4a, v4b, 1, 2, 61, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got IPv4
-	if err := got.DecodeFromBytes(raw); err != nil {
+	p, err := Decode(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Src != v4a || got.Dst != v4b || got.TTL != 61 || got.ID != 0x1234 || !got.DontFrag || got.TOS != 0x10 {
-		t.Fatalf("round trip mismatch: %+v", got)
+	want := IPv4{DontFrag: true, TTL: 61, Protocol: IPProtoUDP, Src: v4a, Dst: v4b}
+	if p.V4 == nil || *p.V4 != want || p.V6 != nil {
+		t.Fatalf("IPv4 header = %+v, want %+v", p.V4, want)
 	}
-	if !bytes.Equal(got.LayerPayload(), payload) {
-		t.Fatalf("payload = %q", got.LayerPayload())
+	if !bytes.Equal(p.Data, payload) {
+		t.Fatalf("payload = %q", p.Data)
 	}
 }
 
 func TestIPv4ChecksumVerified(t *testing.T) {
-	ip := &IPv4{TTL: 64, Protocol: IPProtoUDP, Src: v4a, Dst: v4b}
-	raw, err := Serialize([]byte("x"), ip)
+	raw, err := BuildUDP(v4a, v4b, 1, 2, 64, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[8] ^= 0xff // corrupt TTL
-	var got IPv4
-	if err := got.DecodeFromBytes(raw); err == nil {
+	if _, err := Decode(raw); err == nil {
 		t.Fatal("corrupted IPv4 header accepted")
 	}
 }
 
 func TestIPv4RejectsV6Addrs(t *testing.T) {
-	ip := &IPv4{TTL: 64, Protocol: IPProtoUDP, Src: v6a, Dst: v4b}
-	if _, err := Serialize(nil, ip); err == nil {
-		t.Fatal("IPv4 serialize with IPv6 source should fail")
+	if _, err := BuildUDP(v6a, v4b, 1, 2, 64, nil); err == nil {
+		t.Fatal("UDP build with IPv6 source and IPv4 destination should fail")
+	}
+	if _, err := BuildTCP(v4a, v6b, &TCP{SYN: true}, 64, nil); err == nil {
+		t.Fatal("TCP build with IPv4 source and IPv6 destination should fail")
+	}
+	if _, err := BuildUDP(netip.Addr{}, v4b, 1, 2, 64, nil); err == nil {
+		t.Fatal("UDP build with an invalid source should fail")
 	}
 }
 
 func TestIPv6RoundTrip(t *testing.T) {
-	ip := &IPv6{TrafficClass: 0x20, FlowLabel: 0xabcde, NextHeader: IPProtoTCP, HopLimit: 58, Src: v6a, Dst: v6b}
 	payload := []byte{1, 2, 3, 4, 5}
-	raw, err := Serialize(payload, ip)
+	raw, err := BuildTCP(v6a, v6b, &TCP{SrcPort: 1, DstPort: 2, ACK: true}, 58, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got IPv6
-	if err := got.DecodeFromBytes(raw); err != nil {
+	p, err := Decode(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Src != v6a || got.Dst != v6b || got.HopLimit != 58 || got.FlowLabel != 0xabcde || got.TrafficClass != 0x20 {
-		t.Fatalf("round trip mismatch: %+v", got)
+	want := IPv6{NextHeader: IPProtoTCP, HopLimit: 58, Src: v6a, Dst: v6b}
+	if p.V6 == nil || *p.V6 != want || p.V4 != nil {
+		t.Fatalf("IPv6 header = %+v, want %+v", p.V6, want)
 	}
-	if !bytes.Equal(got.LayerPayload(), payload) {
-		t.Fatalf("payload = %v", got.LayerPayload())
+	if !bytes.Equal(p.Data, payload) {
+		t.Fatalf("payload = %v", p.Data)
+	}
+}
+
+// wireFixtures are datagrams captured from the original layered
+// encoder. BuildUDP/BuildTCP must reproduce each byte for byte, and
+// Decode must return the fields each was built from.
+var wireFixtures = []struct {
+	name     string
+	src, dst netip.Addr
+	ttl      uint8
+	udp      *UDP // exactly one of udp/tcp is set
+	tcp      *TCP
+	payload  string
+	hex      string
+}{
+	{
+		name: "udp4", src: v4a, dst: v4b, ttl: 64,
+		udp: &UDP{SrcPort: 40000, DstPort: 53}, payload: "dns query bytes",
+		hex: "4500002b0000400040114e86c0000201c63364079c40003500170598646e73207175657279206279746573",
+	},
+	{
+		name: "udp6", src: v6a, dst: v6b, ttl: 255,
+		udp: &UDP{SrcPort: 1024, DstPort: 53}, payload: "v6 payload",
+		hex: "60000000001211ff20010db800000000000000000000000120010db8ffff00000000000000000053" +
+			"040000350012d9db7636207061796c6f6164",
+	},
+	{
+		name: "tcp4-syn-options", src: v4a, dst: v4b, ttl: 128,
+		tcp: &TCP{SrcPort: 55555, DstPort: 53, Seq: 0xdeadbeef, SYN: true, Window: 29200,
+			Options: []TCPOption{
+				{Kind: TCPOptMSS, Data: []byte{0x05, 0xb4}},
+				{Kind: TCPOptSACKPermit},
+				{Kind: TCPOptNop},
+				{Kind: TCPOptWindowScale, Data: []byte{7}},
+			}},
+		hex: "450000340000400080060e88c0000201c6336407" +
+			"d9030035deadbeef00000000800272109aef0000020405b40402010303070000",
+	},
+	{
+		name: "tcp6-psh-ack", src: v6b, dst: v6a, ttl: 64,
+		tcp:     &TCP{SrcPort: 53, DstPort: 55555, Seq: 7, Ack: 0xdeadbef0, ACK: true, PSH: true, Window: 65535},
+		payload: "\x00\x03abc",
+		hex: "600000000019064020010db8ffff0000000000000000005320010db8000000000000000000000001" +
+			"0035d90300000007deadbef05018ffff18be00000003616263",
+	},
+	{
+		// The UDP checksum computes to 0x0000 and is sent as 0xffff
+		// (RFC 768); the datagram is valid and must decode.
+		name: "udp4-checksum-0xffff",
+		src:  netip.MustParseAddr("10.0.0.1"), dst: netip.MustParseAddr("10.0.0.2"), ttl: 64,
+		udp: &UDP{SrcPort: 42954, DstPort: 53}, payload: "hello",
+		hex: "4500002100004000401126ca0a0000010a000002a7ca0035000dffff68656c6c6f",
+	},
+}
+
+func TestWireFixtures(t *testing.T) {
+	for _, f := range wireFixtures {
+		t.Run(f.name, func(t *testing.T) {
+			var raw []byte
+			var err error
+			if f.tcp != nil {
+				raw, err = BuildTCP(f.src, f.dst, f.tcp, f.ttl, []byte(f.payload))
+			} else {
+				raw, err = BuildUDP(f.src, f.dst, f.udp.SrcPort, f.udp.DstPort, f.ttl, []byte(f.payload))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(raw); got != f.hex {
+				t.Fatalf("built\n%s\nwant\n%s", got, f.hex)
+			}
+			wire, _ := hex.DecodeString(f.hex)
+			p, err := Decode(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ttl uint8
+			if p.IsIPv6() {
+				ttl = p.V6.HopLimit
+			} else {
+				ttl = p.V4.TTL
+			}
+			if p.Src() != f.src || p.Dst() != f.dst || ttl != f.ttl || string(p.Data) != f.payload {
+				t.Fatalf("decoded %v -> %v ttl %d payload %q", p.Src(), p.Dst(), ttl, p.Data)
+			}
+			if !reflect.DeepEqual(p.UDP, f.udp) || !reflect.DeepEqual(p.TCP, f.tcp) {
+				t.Fatalf("decoded transport UDP %+v TCP %+v, want %+v %+v", p.UDP, p.TCP, f.udp, f.tcp)
+			}
+		})
+	}
+}
+
+func TestIPv4OversizeRejected(t *testing.T) {
+	// 20 + 8 + 65507 is the largest IPv4 UDP datagram.
+	raw, err := BuildUDP(v4a, v4b, 1, 2, 64, make([]byte, 65507))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(raw); err != nil {
+		t.Fatalf("largest IPv4 UDP datagram rejected: %v", err)
+	}
+	if _, err := BuildUDP(v4a, v4b, 1, 2, 64, make([]byte, 65520)); err == nil {
+		t.Fatal("UDP datagram over 65,535 bytes built without error")
+	}
+	if _, err := BuildTCP(v4a, v4b, &TCP{SrcPort: 1, DstPort: 2}, 64, make([]byte, 70000)); err == nil {
+		t.Fatal("TCP datagram over 65,535 bytes built without error")
+	}
+}
+
+func TestBuildAndDecodeAllocateOnce(t *testing.T) {
+	payload := make([]byte, 64)
+	raw, err := BuildUDP(v4a, v4b, 40000, 53, 64, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"BuildUDP v4": func() { _, _ = BuildUDP(v4a, v4b, 40000, 53, 64, payload) },
+		"BuildUDP v6": func() { _, _ = BuildUDP(v6a, v6b, 40000, 53, 64, payload) },
+		"Decode UDP":  func() { _, _ = Decode(raw) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 1 {
+			t.Errorf("%s allocates %v times, want 1", name, n)
+		}
 	}
 }
 
@@ -215,39 +343,6 @@ func TestTCPFlagsRoundTrip(t *testing.T) {
 			out.PSH != in.PSH || out.ACK != in.ACK || out.URG != in.URG {
 			t.Fatalf("flag combination %d did not round-trip", i)
 		}
-	}
-}
-
-func TestSerializeBufferPrependGrowth(t *testing.T) {
-	b := NewSerializeBuffer()
-	copy(b.AppendBytes(4), "tail")
-	total := 4
-	for i := 0; i < 50; i++ {
-		n := 17
-		p := b.PrependBytes(n)
-		for j := range p {
-			p[j] = byte(i)
-		}
-		total += n
-		if b.Len() != total {
-			t.Fatalf("len = %d, want %d", b.Len(), total)
-		}
-	}
-	if string(b.Bytes()[b.Len()-4:]) != "tail" {
-		t.Fatal("tail bytes corrupted by prepend growth")
-	}
-}
-
-func TestSerializeBufferClear(t *testing.T) {
-	b := NewSerializeBuffer()
-	copy(b.AppendBytes(10), "0123456789")
-	b.Clear()
-	if b.Len() != 0 {
-		t.Fatalf("len after Clear = %d", b.Len())
-	}
-	copy(b.PrependBytes(3), "abc")
-	if string(b.Bytes()) != "abc" {
-		t.Fatalf("bytes = %q", b.Bytes())
 	}
 }
 

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"net/netip"
-)
+import "encoding/binary"
 
 // TCPOptionKind identifies a TCP option.
 type TCPOptionKind uint8
@@ -24,8 +21,17 @@ type TCPOption struct {
 	Data []byte // option data, excluding kind and length bytes
 }
 
-// TCP is a TCP header (RFC 793) with options. Like UDP, SetNetwork must
-// be called before serializing or verifying checksums.
+// wireLen is the option's length on the wire: one byte for
+// end-of-options and no-operation, kind and length bytes plus Data for
+// the rest.
+func (o TCPOption) wireLen() int {
+	if o.Kind == TCPOptEndOfOptions || o.Kind == TCPOptNop {
+		return 1
+	}
+	return 2 + len(o.Data)
+}
+
+// TCP is a TCP header (RFC 793) with options.
 type TCP struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
@@ -33,24 +39,7 @@ type TCP struct {
 	RST, PSH, URG    bool
 	Window           uint16
 	Options          []TCPOption
-
-	src, dst netip.Addr
-	payload  []byte
 }
-
-const tcpMinLen = 20
-
-// SetNetwork records the pseudo-header addresses used for checksums.
-func (t *TCP) SetNetwork(src, dst netip.Addr) { t.src, t.dst = src, dst }
-
-// LayerType implements Layer.
-func (t *TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// NextLayerType implements Layer.
-func (t *TCP) NextLayerType() LayerType { return LayerTypePayload }
-
-// LayerPayload implements Layer.
-func (t *TCP) LayerPayload() []byte { return t.payload }
 
 // Option returns the first option of the given kind and whether it exists.
 func (t *TCP) Option(kind TCPOptionKind) (TCPOption, bool) {
@@ -110,107 +99,4 @@ func (t *TCP) setFlags(f uint8) {
 	t.PSH = f&0x08 != 0
 	t.ACK = f&0x10 != 0
 	t.URG = f&0x20 != 0
-}
-
-// DecodeFromBytes implements Layer. If SetNetwork was called beforehand,
-// the checksum is verified.
-func (t *TCP) DecodeFromBytes(data []byte) error {
-	if len(data) < tcpMinLen {
-		return decodeErr(LayerTypeTCP, "truncated header")
-	}
-	dataOff := int(data[12]>>4) * 4
-	if dataOff < tcpMinLen || dataOff > len(data) {
-		return decodeErr(LayerTypeTCP, "bad data offset")
-	}
-	if t.src.IsValid() && t.dst.IsValid() {
-		seg := make([]byte, len(data))
-		copy(seg, data)
-		seg[16], seg[17] = 0, 0
-		want := binary.BigEndian.Uint16(data[16:18])
-		if got := TransportChecksum(t.src, t.dst, IPProtoTCP, seg); got != want {
-			return decodeErr(LayerTypeTCP, "checksum mismatch")
-		}
-	}
-	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	t.DstPort = binary.BigEndian.Uint16(data[2:4])
-	t.Seq = binary.BigEndian.Uint32(data[4:8])
-	t.Ack = binary.BigEndian.Uint32(data[8:12])
-	t.setFlags(data[13])
-	t.Window = binary.BigEndian.Uint16(data[14:16])
-	t.Options = t.Options[:0]
-	opts := data[tcpMinLen:dataOff]
-	for len(opts) > 0 {
-		kind := TCPOptionKind(opts[0])
-		switch kind {
-		case TCPOptEndOfOptions:
-			opts = nil
-		case TCPOptNop:
-			t.Options = append(t.Options, TCPOption{Kind: kind})
-			opts = opts[1:]
-		default:
-			if len(opts) < 2 {
-				return decodeErr(LayerTypeTCP, "truncated option")
-			}
-			olen := int(opts[1])
-			if olen < 2 || olen > len(opts) {
-				return decodeErr(LayerTypeTCP, "bad option length")
-			}
-			t.Options = append(t.Options, TCPOption{
-				Kind: kind,
-				Data: append([]byte(nil), opts[2:olen]...),
-			})
-			opts = opts[olen:]
-		}
-	}
-	t.payload = data[dataOff:]
-	return nil
-}
-
-// SerializeTo implements SerializableLayer.
-func (t *TCP) SerializeTo(b *SerializeBuffer) error {
-	if !t.src.IsValid() || !t.dst.IsValid() {
-		return decodeErr(LayerTypeTCP, "SetNetwork not called before serialize")
-	}
-	optLen := 0
-	for _, o := range t.Options {
-		if o.Kind == TCPOptNop || o.Kind == TCPOptEndOfOptions {
-			optLen++
-		} else {
-			optLen += 2 + len(o.Data)
-		}
-	}
-	pad := (4 - optLen%4) % 4
-	hdrLen := tcpMinLen + optLen + pad
-	if hdrLen > 60 {
-		return decodeErr(LayerTypeTCP, "options too long")
-	}
-	hdr := b.PrependBytes(hdrLen)
-	binary.BigEndian.PutUint16(hdr[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(hdr[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(hdr[4:8], t.Seq)
-	binary.BigEndian.PutUint32(hdr[8:12], t.Ack)
-	hdr[12] = uint8(hdrLen/4) << 4
-	hdr[13] = t.flags()
-	binary.BigEndian.PutUint16(hdr[14:16], t.Window)
-	hdr[16], hdr[17] = 0, 0
-	hdr[18], hdr[19] = 0, 0 // urgent pointer unused
-	p := hdr[tcpMinLen:]
-	for _, o := range t.Options {
-		switch o.Kind {
-		case TCPOptNop, TCPOptEndOfOptions:
-			p[0] = byte(o.Kind)
-			p = p[1:]
-		default:
-			p[0] = byte(o.Kind)
-			p[1] = byte(2 + len(o.Data))
-			copy(p[2:], o.Data)
-			p = p[2+len(o.Data):]
-		}
-	}
-	for i := range p {
-		p[i] = 0 // pad with end-of-options
-	}
-	sum := TransportChecksum(t.src, t.dst, IPProtoTCP, b.Bytes())
-	binary.BigEndian.PutUint16(hdr[16:18], sum)
-	return nil
 }
