@@ -50,13 +50,15 @@ race:
 racestress:
 	$(GO) test -race -run 'TestRaceStress' -v .
 
-# Short native-fuzz smoke over the wire parsers and the fold engine's
-# run-file reader (one -fuzz target per invocation is a go tool
-# limitation). Raise FUZZTIME for a real hunt.
+# Short native-fuzz smoke over the wire parsers, the fold engine's
+# run-file reader and detrand's lazily seeded source against math/rand
+# (one -fuzz target per invocation is a go tool limitation). Raise
+# FUZZTIME for a real hunt.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzRunFile -fuzztime=$(FUZZTIME) ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzSource -fuzztime=$(FUZZTIME) ./internal/detrand
 
 # The survey benchmark is a separate module (surveybench/go.mod), so
 # `go build ./...` here never compiles it; vet and test it explicitly so

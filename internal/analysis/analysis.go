@@ -15,7 +15,9 @@ package analysis
 import (
 	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/fingerprint"
@@ -63,15 +65,19 @@ type Streams struct {
 	Targets func(yield func(t scanner.Target)) error
 }
 
-// DefaultBands derives the Table 4 banding from the §5.3.2 pools.
-func DefaultBands() []stats.Band {
+// DefaultBands returns the Table 4 banding derived from the §5.3.2
+// pools. The derivation runs once per process; each call gets its own
+// copy.
+func DefaultBands() []stats.Band { return slices.Clone(defaultBands()) }
+
+var defaultBands = sync.OnceValue(func() []stats.Band {
 	return stats.DeriveBands([]stats.PoolSpec{
 		{Label: "Windows DNS", Size: 2500},
 		{Label: "FreeBSD", Size: 16383},
 		{Label: "Linux", Size: 28232},
 		{Label: "Full Port Range", Size: 64511},
 	}, stats.SampleSize, 0.999, 65536)
-}
+})
 
 // FamilyStat is a per-address-family headline row (§4 ¶1).
 type FamilyStat struct {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -321,6 +322,24 @@ func TestDefaultBandsPartition(t *testing.T) {
 		if _, ok := stats.BandFor(bands, r); !ok {
 			t.Fatalf("range %d not covered", r)
 		}
+	}
+}
+
+// TestDefaultBandsCopies pins that the derivation is cached but never
+// shared: mutating one returned slice leaves the next call's intact.
+func TestDefaultBandsCopies(t *testing.T) {
+	want := stats.DeriveBands([]stats.PoolSpec{
+		{Label: "Windows DNS", Size: 2500},
+		{Label: "FreeBSD", Size: 16383},
+		{Label: "Linux", Size: 28232},
+		{Label: "Full Port Range", Size: 64511},
+	}, stats.SampleSize, 0.999, 65536)
+	first := DefaultBands()
+	for i := range first {
+		first[i] = stats.Band{Lo: -1, Hi: -1, Label: "mutated"}
+	}
+	if got := DefaultBands(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultBands after mutating an earlier result = %v, want %v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"net/netip"
 	"slices"
 	"sort"
 	"strings"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/detrand"
 	"repro/internal/ditl"
+	"repro/internal/routing"
 	"repro/internal/scanner"
 	"repro/internal/world"
 )
@@ -227,6 +230,109 @@ func TestSAVSourceIsInternal(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no candidates checked")
+	}
+}
+
+// slicePickSAVSource is savSourceFor as it stood when it collected the
+// candidate subnets into a slice: the reference the allocation-free
+// pick must match.
+func slicePickSAVSource(reg *routing.Registry, t scanner.Target, seed uint64) (netip.Addr, bool) {
+	as := reg.AS(t.ASN)
+	if as == nil {
+		return netip.Addr{}, false
+	}
+	var prefixes []netip.Prefix
+	if t.Addr.Is6() {
+		prefixes = as.V6Prefixes()
+	} else {
+		prefixes = as.V4Prefixes()
+	}
+	own := routing.SubnetOf(t.Addr)
+	var candidates []netip.Prefix
+	for _, p := range prefixes {
+		for _, sub := range routing.EnumerateSubnets(p, savSubnetFanout) {
+			if sub != own {
+				candidates = append(candidates, sub)
+			}
+		}
+	}
+	hi, lo := detrand.AddrWords(t.Addr)
+	if len(candidates) > 0 {
+		sub := candidates[detrand.Intn(len(candidates), seed, hi, lo, saltSAVSubnet)]
+		return routing.RandomHostAddr(sub, detrand.Rand(seed, hi, lo, saltSAVSource)), true
+	}
+	rng := detrand.Rand(seed, hi, lo, saltSAVSource)
+	for tries := 0; tries < 16; tries++ {
+		if a := routing.RandomHostAddr(own, rng); a != t.Addr {
+			return a, true
+		}
+	}
+	return netip.Addr{}, false
+}
+
+// TestSAVSourceMatchesSlicePick checks the counted subnet pick against
+// the slice-building one for every candidate target of a generated
+// population, v4 and v6, plus a hand-built AS with single-subnet
+// prefixes and a target whose own subnet is its AS's only one.
+func TestSAVSourceMatchesSlicePick(t *testing.T) {
+	pop := ditl.Generate(ditl.Params{Seed: 5, ASes: 40})
+	reg, err := world.BuildRegistry(pop, world.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []scanner.Target
+	for _, a := range CandidateAddrs(pop, nil) {
+		if as := reg.OriginOf(a); as != nil {
+			targets = append(targets, scanner.Target{Addr: a, ASN: as.ASN})
+		}
+	}
+	small := routing.NewRegistry()
+	small.Add(&routing.AS{ASN: 64500, Prefixes: []netip.Prefix{
+		netip.MustParsePrefix("192.0.2.128/25"),
+		netip.MustParsePrefix("198.51.100.0/24"),
+		netip.MustParsePrefix("203.0.113.0/24"),
+		netip.MustParsePrefix("2001:db8:1::/64"),
+	}})
+	small.Add(&routing.AS{ASN: 64501, Prefixes: []netip.Prefix{netip.MustParsePrefix("198.18.0.0/24")}})
+	for _, a := range []string{"192.0.2.200", "198.51.100.7", "203.0.113.255", "2001:db8:1::53"} {
+		targets = append(targets, scanner.Target{Addr: netip.MustParseAddr(a), ASN: 64500})
+	}
+	targets = append(targets, scanner.Target{Addr: netip.MustParseAddr("198.18.0.9"), ASN: 64501})
+
+	var v4, v6, ownExcluded, single int
+	for _, tgt := range targets {
+		r := reg
+		if tgt.ASN >= 64500 {
+			r = small
+		}
+		as := r.AS(tgt.ASN)
+		prefixes := as.V4Prefixes()
+		if tgt.Addr.Is6() {
+			prefixes = as.V6Prefixes()
+			v6++
+		} else {
+			v4++
+		}
+		own := routing.SubnetOf(tgt.Addr)
+		for _, p := range prefixes {
+			subs := routing.EnumerateSubnets(p, savSubnetFanout)
+			if len(subs) == 1 {
+				single++
+			}
+			if slices.Contains(subs, own) {
+				ownExcluded++
+			}
+		}
+		for _, seed := range []uint64{1, 2} {
+			want, wok := slicePickSAVSource(r, tgt, seed)
+			got, ok := savSourceFor(r, tgt, seed)
+			if got != want || ok != wok {
+				t.Fatalf("seed %d target %v: pick %v,%v, want %v,%v", seed, tgt.Addr, got, ok, want, wok)
+			}
+		}
+	}
+	if v4 == 0 || v6 == 0 || ownExcluded == 0 || single == 0 {
+		t.Fatalf("coverage: %d v4, %d v6, %d own-subnet exclusions, %d single-subnet prefixes", v4, v6, ownExcluded, single)
 	}
 }
 

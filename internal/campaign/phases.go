@@ -112,8 +112,11 @@ func (inboundSAVPhase) Reducers() []analysis.Reducer { return analysis.Reachabil
 // savSourceFor picks a target's one spoofed source: a random host
 // address from another subnet of the target's AS when one exists (the
 // category most likely to slip past an address-based ingress check),
-// else a same-subnet address distinct from the target. Every draw is
-// keyed on the target's identity, so the pick is shard-invariant.
+// else a same-subnet address distinct from the target. The candidates
+// are the first savSubnetFanout subnets of each of the family's
+// prefixes, in order, minus the target's own; they are counted and the
+// pick stepped to rather than collected. Every draw is keyed on the
+// target's identity, so the pick is shard-invariant.
 func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64) (netip.Addr, bool) {
 	as := reg.AS(t.ASN)
 	if as == nil {
@@ -126,20 +129,29 @@ func savSourceFor(reg *routing.Registry, t scanner.Target, seed uint64) (netip.A
 		prefixes = as.V4Prefixes()
 	}
 	own := routing.SubnetOf(t.Addr)
-	var candidates []netip.Prefix
+	n := 0
 	for _, p := range prefixes {
-		for _, sub := range routing.EnumerateSubnets(p, savSubnetFanout) {
-			if sub != own {
-				candidates = append(candidates, sub)
+		for i := range routing.SubnetCount(p, savSubnetFanout) {
+			if routing.NthSubnet(p, i) != own {
+				n++
 			}
 		}
 	}
 	hi, lo := detrand.AddrWords(t.Addr)
-	if len(candidates) > 0 {
-		sub := candidates[detrand.Intn(len(candidates), seed, hi, lo, saltSAVSubnet)]
-		return routing.RandomHostAddr(sub, detrand.Rand(seed, hi, lo, saltSAVSource)), true
-	}
 	rng := detrand.Rand(seed, hi, lo, saltSAVSource)
+	if n > 0 {
+		k := detrand.Intn(n, seed, hi, lo, saltSAVSubnet)
+		for _, p := range prefixes {
+			for i := range routing.SubnetCount(p, savSubnetFanout) {
+				if sub := routing.NthSubnet(p, i); sub != own {
+					if k == 0 {
+						return routing.RandomHostAddr(sub, rng), true
+					}
+					k--
+				}
+			}
+		}
+	}
 	for tries := 0; tries < 16; tries++ {
 		if a := routing.RandomHostAddr(own, rng); a != t.Addr {
 			return a, true

@@ -12,8 +12,12 @@
 // invariant under resharding, which is what lets K shards merge into
 // a bit-identical analysis.Report for any K (including K=1).
 //
-// The generator is a splitmix64 chain over the inputs; it is a
-// simulation PRNG, not a cryptographic one.
+// The hash is a splitmix64 chain over the inputs; it is a simulation
+// PRNG, not a cryptographic one. Rand and Counted hand out math/rand's
+// own seeded stream, value for value, but seed it lazily: the 607-word
+// register math/rand fills on every NewSource is built only when a
+// stream reaches its 274th draw, so a one-draw pick costs a few
+// multiplications instead of a 4.9 KB seeding (see source.go).
 package detrand
 
 import (
@@ -91,9 +95,10 @@ func Intn(n int, vals ...uint64) int {
 // Rand returns a math/rand generator seeded from the mixed hash of
 // vals: a private sequential stream whose identity — not position in
 // any global order — is determined by the inputs. Use one per causal
-// domain (per target, per AS).
+// domain (per target, per AS). The stream is exactly
+// rand.New(rand.NewSource(int64(Mix(vals...))))'s, seeded lazily.
 func Rand(vals ...uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Mix(vals...))))
+	return rand.New(newSource(int64(Mix(vals...))))
 }
 
 // Counted is a causally-seeded rand.Source64 that counts how many
@@ -104,16 +109,19 @@ func Rand(vals ...uint64) *rand.Rand {
 // Counted resumes the stream at exactly that boundary. This is what
 // lets a consumer of one long sequential stream (the ditl population
 // generator) be replayed from the middle without regenerating the
-// prefix.
+// prefix. The stream is Rand's (math/rand's, seeded lazily), so a Skip
+// that stays within the first 273 draws costs nothing.
 type Counted struct {
-	src rand.Source64
+	src source
 	n   uint64
 }
 
 // NewCounted returns a counting source seeded exactly like Rand(vals...):
 // rand.New(c) and Rand(vals...) produce identical draw sequences.
 func NewCounted(vals ...uint64) *Counted {
-	return &Counted{src: rand.NewSource(int64(Mix(vals...))).(rand.Source64)}
+	c := new(Counted)
+	c.src.Seed(int64(Mix(vals...)))
+	return c
 }
 
 // Int63 advances the stream one step.
@@ -132,9 +140,7 @@ func (c *Counted) Draws() uint64 { return c.n }
 
 // Skip advances the stream n steps without handing the values out.
 func (c *Counted) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
-	}
+	c.src.skip(n)
 	c.n += n
 }
 

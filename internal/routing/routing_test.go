@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -180,6 +181,73 @@ func TestEnumerateSubnetsV6(t *testing.T) {
 	}
 	if subs[1] != mustPrefix("2001:db8:0:5::/64") {
 		t.Fatalf("subnets = %v", subs)
+	}
+}
+
+// steppedSubnets is EnumerateSubnets as it stood before the indexed
+// form: step from the masked prefix one subnet at a time.
+func steppedSubnets(prefix netip.Prefix, max int) []netip.Prefix {
+	subnetBits := V6SubnetBits
+	if prefix.Addr().Is4() {
+		subnetBits = V4SubnetBits
+	}
+	if prefix.Bits() >= subnetBits {
+		p, _ := prefix.Addr().Prefix(subnetBits)
+		return []netip.Prefix{p}
+	}
+	count := 1 << (subnetBits - prefix.Bits())
+	if max > 0 && count > max {
+		count = max
+	}
+	out := make([]netip.Prefix, 0, count)
+	cur := prefix.Masked().Addr()
+	for i := 0; i < count; i++ {
+		p, _ := cur.Prefix(subnetBits)
+		out = append(out, p)
+		if cur.Is4() {
+			a := cur.As4()
+			binary.BigEndian.PutUint32(a[:], binary.BigEndian.Uint32(a[:])+1<<(32-subnetBits))
+			cur = netip.AddrFrom4(a)
+		} else {
+			a := cur.As16()
+			binary.BigEndian.PutUint64(a[0:8], binary.BigEndian.Uint64(a[0:8])+1<<(64-subnetBits))
+			cur = netip.AddrFrom16(a)
+		}
+	}
+	return out
+}
+
+// TestEnumerateSubnetsMatchesStepping pins SubnetCount, NthSubnet and
+// EnumerateSubnets against the stepping enumeration for every prefix
+// length, unmasked host bits included.
+func TestEnumerateSubnetsMatchesStepping(t *testing.T) {
+	var prefixes []netip.Prefix
+	for bits := 8; bits <= 32; bits++ {
+		prefixes = append(prefixes, netip.PrefixFrom(mustAddr("198.51.100.77"), bits))
+	}
+	for bits := 40; bits <= 128; bits += 4 {
+		prefixes = append(prefixes, netip.PrefixFrom(mustAddr("2001:db8:aa:bb:1:2:3:4"), bits))
+	}
+	for _, p := range prefixes {
+		for _, max := range []int{0, 1, 8, 97} {
+			subnetBits := V4SubnetBits
+			if p.Addr().Is6() {
+				subnetBits = V6SubnetBits
+			}
+			if max == 0 && subnetBits-p.Bits() > 8 {
+				continue // keep the uncapped enumerations small
+			}
+			want := steppedSubnets(p, max)
+			if n := SubnetCount(p, max); n != len(want) {
+				t.Fatalf("SubnetCount(%v, %d) = %d, want %d", p, max, n, len(want))
+			}
+			got := EnumerateSubnets(p, max)
+			for i := range want {
+				if got[i] != want[i] || NthSubnet(p, i) != want[i] {
+					t.Fatalf("%v max %d: subnet %d = %v / %v, want %v", p, max, i, got[i], NthSubnet(p, i), want[i])
+				}
+			}
+		}
 	}
 }
 

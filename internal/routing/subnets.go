@@ -25,11 +25,7 @@ const (
 //
 //doors:hotpath
 func SubnetOf(addr netip.Addr) netip.Prefix {
-	bits := V6SubnetBits
-	if addr.Is4() {
-		bits = V4SubnetBits
-	}
-	p, _ := addr.Prefix(bits)
+	p, _ := addr.Prefix(subnetBitsFor(addr))
 	return p
 }
 
@@ -37,45 +33,56 @@ func SubnetOf(addr netip.Addr) netip.Prefix {
 // returns up to max of them, in address order. A prefix smaller than the
 // subnet size yields its single enclosing subnet.
 func EnumerateSubnets(prefix netip.Prefix, max int) []netip.Prefix {
-	subnetBits := V6SubnetBits
-	if prefix.Addr().Is4() {
-		subnetBits = V4SubnetBits
+	out := make([]netip.Prefix, SubnetCount(prefix, max))
+	for i := range out {
+		out[i] = NthSubnet(prefix, i)
 	}
+	return out
+}
+
+// SubnetCount reports how many subnets EnumerateSubnets(prefix, max)
+// returns, without building them.
+func SubnetCount(prefix netip.Prefix, max int) int {
+	subnetBits := subnetBitsFor(prefix.Addr())
 	if prefix.Bits() >= subnetBits {
-		p, _ := prefix.Addr().Prefix(subnetBits)
-		return []netip.Prefix{p}
+		return 1
 	}
 	count := 1 << (subnetBits - prefix.Bits())
 	if max > 0 && count > max {
 		count = max
 	}
-	out := make([]netip.Prefix, 0, count)
-	cur := prefix.Masked().Addr()
-	for i := 0; i < count; i++ {
-		p, _ := cur.Prefix(subnetBits)
-		out = append(out, p)
-		cur = nextSubnet(cur, subnetBits)
-		if !cur.IsValid() {
-			break
-		}
-	}
-	return out
+	return count
 }
 
-// nextSubnet advances addr by one subnet of the given prefix length.
-func nextSubnet(addr netip.Addr, bits int) netip.Addr {
+// NthSubnet returns the i-th subnet of prefix in address order: element
+// i of EnumerateSubnets(prefix, max) for any i below
+// SubnetCount(prefix, max).
+func NthSubnet(prefix netip.Prefix, i int) netip.Prefix {
+	addr := prefix.Addr()
+	subnetBits := subnetBitsFor(addr)
+	keep := min(prefix.Bits(), subnetBits)
 	if addr.Is4() {
 		a := addr.As4()
 		v := binary.BigEndian.Uint32(a[:])
-		v += 1 << (32 - bits)
+		v &^= uint32(1)<<(32-keep) - 1
+		v += uint32(i) << (32 - subnetBits)
 		binary.BigEndian.PutUint32(a[:], v)
-		return netip.AddrFrom4(a)
+		return netip.PrefixFrom(netip.AddrFrom4(a), subnetBits)
 	}
 	a := addr.As16()
 	hi := binary.BigEndian.Uint64(a[0:8])
-	hi += 1 << (64 - bits) // bits <= 64 for our /64 subdivision
+	hi &^= uint64(1)<<(64-keep) - 1
+	hi += uint64(i) << (64 - subnetBits) // subnetBits <= 64
 	binary.BigEndian.PutUint64(a[0:8], hi)
-	return netip.AddrFrom16(a)
+	clear(a[8:])
+	return netip.PrefixFrom(netip.AddrFrom16(a), subnetBits)
+}
+
+func subnetBitsFor(addr netip.Addr) int {
+	if addr.Is4() {
+		return V4SubnetBits
+	}
+	return V6SubnetBits
 }
 
 // AddrAt returns the host address at the given offset within subnet.
