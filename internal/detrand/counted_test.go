@@ -73,3 +73,47 @@ func TestCountedSkipResumesStream(t *testing.T) {
 		}
 	}
 }
+
+// TestCountedCloneIsIndependent pins Clone: a clone taken at any point —
+// while the register is still lazy (before draw 274) or after it is
+// built — continues the original's stream from that point, however far
+// the original advances first, and advancing the clone leaves the
+// original's stream intact.
+func TestCountedCloneIsIndependent(t *testing.T) {
+	for _, at := range []uint64{0, 1, 100, 273, 274, 275, 700, 2000} {
+		ref := NewCounted(3, 33)
+		ref.Skip(at)
+		want := make([]uint64, 1500)
+		for i := range want {
+			want[i] = ref.Uint64()
+		}
+
+		orig := NewCounted(3, 33)
+		orig.Skip(at)
+		clone := orig.Clone()
+		if clone.Draws() != at {
+			t.Fatalf("clone at %d: Draws = %d", at, clone.Draws())
+		}
+		// Advance the original across the register build and past a
+		// full register wrap before the clone draws at all.
+		for i := range want {
+			if g := orig.Uint64(); g != want[i] {
+				t.Fatalf("clone at %d: original draw %d = %#x, want %#x", at, i, g, want[i])
+			}
+		}
+		again := clone.Clone()
+		for i := range want {
+			if g := clone.Uint64(); g != want[i] {
+				t.Fatalf("clone at %d: clone draw %d = %#x, want %#x", at, i, g, want[i])
+			}
+		}
+		// A clone of the clone, taken before the clone advanced, still
+		// sits at the branch point.
+		if g := again.Uint64(); g != want[0] {
+			t.Fatalf("clone at %d: second clone draw 0 = %#x, want %#x", at, g, want[0])
+		}
+		if clone.Draws() != at+uint64(len(want)) || orig.Draws() != at+uint64(len(want)) {
+			t.Fatalf("clone at %d: Draws %d / %d after %d draws", at, clone.Draws(), orig.Draws(), len(want))
+		}
+	}
+}

@@ -144,6 +144,19 @@ func (c *Counted) Skip(n uint64) {
 	c.n += n
 }
 
+// Clone returns an independent copy of the stream at its current
+// position, register included: advancing either leaves the other
+// where it was. A streaming consumer keeps clones as read-only
+// checkpoints and clones them again to resume from one.
+func (c *Counted) Clone() *Counted {
+	d := *c
+	if c.src.vec != nil {
+		vec := *c.src.vec
+		d.src.vec = &vec
+	}
+	return &d
+}
+
 // Rand wraps the counting source in a *rand.Rand. Because Counted
 // implements rand.Source64, the generator dispatches exactly as it
 // does over the raw source, so the value stream matches Rand(vals...)

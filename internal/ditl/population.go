@@ -200,20 +200,26 @@ type Population struct {
 	ASes   []*ASSpec
 }
 
-// v4BlockFor maps a block index to a /16 in safely "public" space,
-// skipping first octets with special-purpose carve-outs.
-func v4BlockFor(i int) netip.Prefix {
-	okFirst := make([]int, 0, 200)
+// v4FirstOctets are the first octets v4BlockFor hands out: unicast
+// space minus the octets with special-purpose carve-outs.
+var v4FirstOctets = func() []byte {
+	var out []byte
 	for a := 1; a <= 223; a++ {
 		switch a {
 		case 10, 100, 127, 169, 172, 192, 198, 203:
 			continue
 		}
-		okFirst = append(okFirst, a)
+		out = append(out, byte(a))
 	}
-	a := okFirst[(i/256)%len(okFirst)]
+	return out
+}()
+
+// v4BlockFor maps a block index to a /16 in safely "public" space,
+// skipping first octets with special-purpose carve-outs.
+func v4BlockFor(i int) netip.Prefix {
+	a := v4FirstOctets[(i/256)%len(v4FirstOctets)]
 	b := i % 256
-	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a), byte(b), 0, 0}), 16)
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{a, byte(b), 0, 0}), 16)
 }
 
 // v6BlockFor maps a block index to a /48.
@@ -339,8 +345,8 @@ func genAS(p Params, rng *rand.Rand, i, resolverIdx int, as *ASSpec, used map[ne
 	nDead := geomRand(rng, int(float64(p.DeadTargetMean)*sizeBoost))
 	for k := 0; k < nDead; k++ {
 		pref := as.V4Prefixes[rng.Intn(len(as.V4Prefixes))]
-		sub := routing.EnumerateSubnets(pref, 64)
-		a := routing.RandomHostAddr(sub[rng.Intn(len(sub))], rng)
+		sub := routing.NthSubnet(pref, rng.Intn(routing.SubnetCount(pref, 64)))
+		a := routing.RandomHostAddr(sub, rng)
 		if !used[a] {
 			used[a] = true
 			as.DeadTargets = append(as.DeadTargets, a)
@@ -349,8 +355,9 @@ func genAS(p Params, rng *rand.Rand, i, resolverIdx int, as *ASSpec, used map[ne
 	if len(as.V6Prefixes) > 0 {
 		nDead6 := geomRand(rng, p.DeadTargetMeanV6)
 		for k := 0; k < nDead6; k++ {
-			sub := routing.EnumerateSubnets(as.V6Prefixes[0], 16)
-			a := routing.RandomHostAddr(sub[rng.Intn(len(sub))], rng)
+			pref := as.V6Prefixes[0]
+			sub := routing.NthSubnet(pref, rng.Intn(routing.SubnetCount(pref, 16)))
+			a := routing.RandomHostAddr(sub, rng)
 			if !used[a] {
 				used[a] = true
 				as.DeadTargets = append(as.DeadTargets, a)
@@ -409,9 +416,9 @@ func genResolver(p Params, rng *rand.Rand, as *ASSpec, country countryProfile, i
 
 	// Addressing: v4 almost always; v6 when the AS has it.
 	pref := as.V4Prefixes[rng.Intn(len(as.V4Prefixes))]
-	subs := routing.EnumerateSubnets(pref, 64)
+	nsub := routing.SubnetCount(pref, 64)
 	for {
-		a := routing.RandomHostAddr(subs[rng.Intn(len(subs))], rng)
+		a := routing.RandomHostAddr(routing.NthSubnet(pref, rng.Intn(nsub)), rng)
 		if !used[a] {
 			used[a] = true
 			spec.Addr4 = a
@@ -419,9 +426,10 @@ func genResolver(p Params, rng *rand.Rand, as *ASSpec, country countryProfile, i
 		}
 	}
 	if len(as.V6Prefixes) > 0 && rng.Float64() < 0.8 {
-		v6subs := routing.EnumerateSubnets(as.V6Prefixes[0], 8)
+		pref6 := as.V6Prefixes[0]
+		nsub6 := routing.SubnetCount(pref6, 8)
 		for {
-			a := routing.RandomHostAddr(v6subs[rng.Intn(len(v6subs))], rng)
+			a := routing.RandomHostAddr(routing.NthSubnet(pref6, rng.Intn(nsub6)), rng)
 			if !used[a] {
 				used[a] = true
 				spec.Addr6 = a

@@ -1,6 +1,7 @@
 package ditl
 
 import (
+	"math/rand"
 	"net/netip"
 
 	"repro/internal/detrand"
@@ -56,14 +57,19 @@ func (p *Population) EachAS(indices []int, fn func(i int, as *ASSpec)) {
 // View is a streaming population: the same ASes Generate would build,
 // synthesized on demand from the generator's draw stream. A one-time
 // indexing pass records, per AS, the cumulative draw count, resolver
-// index, and candidate-address count; EachAS then fast-forwards a
-// fresh stream to any AS boundary (detrand.Counted.Skip) and replays
-// genAS from there. Resident state is O(ASes) small integers — three
-// prefix-sum columns — never the population itself.
+// index, and candidate-address count, and keeps a copy of the stream
+// (detrand.Counted.Clone) at every stride-th AS boundary. EachAS then
+// resumes a clone of the nearest checkpoint at or before the AS it
+// wants, fast-forwards it (detrand.Counted.Skip) across at most one
+// stride of ASes, and replays genAS from there. Resident state is
+// O(ASes) small integers — three prefix-sum columns — plus
+// O(ASes/stride) checkpoint streams of ~4.9 KB each, never the
+// population itself.
 //
 // A View is safe for concurrent EachAS/CandidateCount calls: the
-// index columns are frozen after NewView and each EachAS call owns
-// its private stream and scratch.
+// index columns and checkpoints are frozen after NewView (a checkpoint
+// is only ever cloned, never advanced in place) and each EachAS call
+// owns its private stream and scratch.
 type View struct {
 	params Params
 	// draws[i] = generator draws consumed before AS i (len n+1).
@@ -72,15 +78,38 @@ type View struct {
 	residx []int32
 	// cands[i] = candidate addresses in ASes [0, i) (len n+1).
 	cands []int32
+	// stride is the AS distance between checkpoints.
+	stride int
+	// ckpt[k] is the stream positioned before AS k*stride; read-only.
+	ckpt []*detrand.Counted
 	// v6Total = population-wide v6 candidate count.
 	v6Total int
 	// stats from the indexing pass (Summarize without a second sweep).
 	stats Stats
 }
 
+// viewStride is the preferred AS distance between a View's stream
+// checkpoints: a seek replays at most this many ASes. maxViewCheckpoints
+// caps the table (each checkpoint holds a 607-word register, so 1,024
+// of them are ≈5 MB); a larger population doubles the stride until its
+// table fits.
+const (
+	viewStride         = 16
+	maxViewCheckpoints = 1024
+)
+
+// checkpointStride returns the checkpoint stride for an n-AS view.
+func checkpointStride(n int) int {
+	stride := viewStride
+	for (n+stride-1)/stride > maxViewCheckpoints {
+		stride *= 2
+	}
+	return stride
+}
+
 // NewView builds a streaming view of the population Generate(p) would
 // return, using one indexing sweep that retains only per-AS prefix
-// sums.
+// sums and the stream checkpoints.
 func NewView(p Params) *View {
 	p = p.withDefaults()
 	v := &View{
@@ -88,7 +117,9 @@ func NewView(p Params) *View {
 		draws:  make([]uint64, 1, p.ASes+1),
 		residx: make([]int32, 1, p.ASes+1),
 		cands:  make([]int32, 1, p.ASes+1),
+		stride: checkpointStride(p.ASes),
 	}
+	v.ckpt = make([]*detrand.Counted, 0, (p.ASes+v.stride-1)/v.stride)
 	cs := detrand.NewCounted(uint64(p.Seed), saltPopulation)
 	rng := cs.Rand()
 	as := &ASSpec{slab: newResolverSlab()}
@@ -96,6 +127,9 @@ func NewView(p Params) *View {
 	resolverIdx := 0
 	candidates := 0
 	for i := 0; i < p.ASes; i++ {
+		if i%v.stride == 0 {
+			v.ckpt = append(v.ckpt, cs.Clone())
+		}
 		as.slab.truncate()
 		resolverIdx = genAS(p, rng, i, resolverIdx, as, used)
 		candidates += asCandidateCount(as)
@@ -116,17 +150,20 @@ func (v *View) NumASes() int { return v.params.ASes }
 
 // EachAS implements Pop by replaying the generator stream across the
 // selected ASes. Contiguous ascending indices (the shard slices from
-// PartitionIndices) cost one fast-forward plus one generation per AS;
-// a backward jump restarts the stream. The *ASSpec handed to fn is
-// reused scratch — valid only during the callback.
+// PartitionIndices) cost one seek plus one generation per AS. A seek —
+// the first AS, a backward jump, or a forward jump past a checkpoint —
+// clones the nearest checkpoint at or before the AS and replays at
+// most one stride of ASes from it. The *ASSpec handed to fn is reused
+// scratch — valid only during the callback.
 func (v *View) EachAS(indices []int, fn func(i int, as *ASSpec)) {
-	cs := detrand.NewCounted(uint64(v.params.Seed), saltPopulation)
-	rng := cs.Rand()
 	as := &ASSpec{slab: newResolverSlab()}
 	used := make(map[netip.Addr]bool)
+	var cs *detrand.Counted
+	var rng *rand.Rand
 	visit := func(i int) {
-		if cs.Draws() > v.draws[i] {
-			cs = detrand.NewCounted(uint64(v.params.Seed), saltPopulation)
+		ck := v.ckpt[i/v.stride]
+		if cs == nil || cs.Draws() > v.draws[i] || ck.Draws() > cs.Draws() {
+			cs = ck.Clone()
 			rng = cs.Rand()
 		}
 		cs.Skip(v.draws[i] - cs.Draws())

@@ -1,6 +1,8 @@
 package ditl
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -100,6 +102,85 @@ func TestViewRevisitAndBackwardJump(t *testing.T) {
 	}
 }
 
+// TestViewSeeksMatchGenerate drives EachAS with index sets that seek
+// every way the checkpoint table can be entered — ascending runs,
+// backward jumps, revisits, jumps across and onto checkpoint
+// boundaries, nil — over populations of one AS, one stride ± 1 and
+// three strides, and checks every visited AS against Generate.
+func TestViewSeeksMatchGenerate(t *testing.T) {
+	for _, n := range []int{1, viewStride - 1, viewStride + 1, 3 * viewStride} {
+		params := Params{Seed: int64(20 + n), ASes: n}
+		pop := Generate(params)
+		view := NewView(params)
+		if got, want := len(view.ckpt), (n+viewStride-1)/viewStride; got != want {
+			t.Fatalf("n=%d: %d checkpoints, want %d", n, got, want)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		sets := [][]int{
+			nil,
+			{n - 1, 0},                   // the far end, then back to the start
+			{n - 1, n - 1, n / 2, n / 2}, // revisits
+		}
+		for k := 0; k < n; k += viewStride {
+			// Onto a checkpoint, its predecessor, then past it.
+			sets = append(sets, []int{k, max(k-1, 0), min(k+1, n-1)})
+		}
+		for r := 0; r < 20; r++ {
+			var set []int
+			for len(set) < 12 {
+				switch i := rng.Intn(n); rng.Intn(3) {
+				case 0: // an ascending run from a random start
+					for ; i < n && len(set) < 12 && rng.Intn(4) != 0; i++ {
+						set = append(set, i)
+					}
+				case 1: // a revisit of the last AS
+					if len(set) > 0 {
+						set = append(set, set[len(set)-1])
+					}
+				default: // a jump anywhere, backward or forward
+					set = append(set, i)
+				}
+			}
+			sets = append(sets, set)
+		}
+		for _, set := range sets {
+			label := fmt.Sprintf("n=%d indices %v", n, set)
+			var visited []int
+			view.EachAS(set, func(i int, as *ASSpec) {
+				visited = append(visited, i)
+				if got, want := snapshot(as), snapshot(pop.ASes[i]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: AS %d differs:\nstreamed: %+v\neager:    %+v", label, i, got, want)
+				}
+			})
+			want := set
+			if set == nil {
+				want = make([]int, n)
+				for i := range want {
+					want[i] = i
+				}
+			}
+			if !reflect.DeepEqual(visited, want) {
+				t.Fatalf("%s: visited %v", label, visited)
+			}
+		}
+	}
+}
+
+// TestCheckpointStride pins the checkpoint table's bound: the stride
+// stays viewStride until the table would pass maxViewCheckpoints, then
+// doubles just enough to fit.
+func TestCheckpointStride(t *testing.T) {
+	for _, n := range []int{0, 1, 250, viewStride * maxViewCheckpoints, viewStride*maxViewCheckpoints + 1, 47_000, 1 << 22} {
+		stride := checkpointStride(n)
+		if table := (n + stride - 1) / stride; table > maxViewCheckpoints {
+			t.Errorf("n=%d: stride %d leaves %d checkpoints", n, stride, table)
+		}
+		if stride > viewStride && (n+stride/2-1)/(stride/2) <= maxViewCheckpoints {
+			t.Errorf("n=%d: stride %d, but %d would fit", n, stride, stride/2)
+		}
+	}
+}
+
 // TestViewPassiveMatchesEager pins that the synthesized 2018 passive
 // view is identical over both representations (it walks resolvers in
 // population order through the Pop interface).
@@ -147,6 +228,21 @@ func TestPartitionIndicesProperties(t *testing.T) {
 			if max-min > 1 {
 				t.Fatalf("n=%d k=%d: imbalance %d (min %d, max %d)", n, k, max-min, min, max)
 			}
+		}
+	}
+}
+
+// BenchmarkViewEachASSharded measures one pass of a 250-AS view split
+// into 64 contiguous shards, each visited by its own EachAS call, the
+// way the fold engine sweeps a population once per shard.
+func BenchmarkViewEachASSharded(b *testing.B) {
+	view := NewView(Params{Seed: 42, ASes: 250, DeadTargetMean: 200})
+	shards := PartitionIndices(view.NumASes(), 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, indices := range shards {
+			view.EachAS(indices, func(int, *ASSpec) {})
 		}
 	}
 }

@@ -404,3 +404,19 @@ func BenchmarkUnpackQuery(b *testing.B) {
 		}
 	}
 }
+
+// TestPackQueryAllocs pins Pack's allocations on BenchmarkPackQuery's
+// message to the one output buffer. The name compressor takes each
+// label with IndexByte; splitting the remaining name once per label
+// cost seven more.
+func TestPackQueryAllocs(t *testing.T) {
+	m := NewQuery(1, "1573066000.192-0-2-55.198-51-100-7.64501.x1.dns-lab.org", TypeA)
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := m.Pack(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Fatalf("Pack allocates %v times per call, want 1", got)
+	}
+}

@@ -152,8 +152,10 @@ func (c *nameCompressor) append(buf []byte, n Name) ([]byte, error) {
 		if len(buf) < 0x4000 {
 			c.offsets[key] = len(buf)
 		}
-		labels := rest.Labels()
-		label := labels[0]
+		label := string(rest)
+		if i := strings.IndexByte(label, '.'); i >= 0 {
+			label = label[:i]
+		}
 		if len(label) > maxLabel {
 			return nil, errLabelTooLong
 		}

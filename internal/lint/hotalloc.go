@@ -137,6 +137,7 @@ var nonAllocCalls = map[string]bool{
 	"net/netip.Addr.Next":               true,
 	"net/netip.Addr.Prev":               true,
 	"net/netip.Addr.Zone":               true,
+	"net/netip.Addr.AppendTo":           true, // appends into a caller buffer, like strconv's Append*
 	"net/netip.AddrFrom4":               true,
 	"net/netip.AddrFrom16":              true,
 	"net/netip.PrefixFrom":              true,

@@ -138,6 +138,57 @@ func TestSpecialPurpose(t *testing.T) {
 			t.Errorf("IsSpecialPurpose(%s) = true", s)
 		}
 	}
+
+	// IPv4-mapped addresses are not Is4: they meet the IPv6 list, where
+	// ::ffff:0:0/96 marks them special whatever IPv4 address they carry.
+	// The unspecified address is special; the zero Addr is not.
+	for _, s := range []string{"::ffff:8.8.8.8", "::ffff:10.0.0.1", "::"} {
+		if !IsSpecialPurpose(mustAddr(s)) {
+			t.Errorf("IsSpecialPurpose(%s) = false", s)
+		}
+	}
+	if IsSpecialPurpose(netip.Addr{}) {
+		t.Error("IsSpecialPurpose(zero Addr) = true")
+	}
+
+	// Each block's first and last address is special, and the address
+	// just outside either border is special exactly when another block
+	// covers it: the family-split scan agrees with a scan of every
+	// block of both families.
+	all := append(append([]netip.Prefix(nil), specialV4...), specialV6...)
+	anyContains := func(a netip.Addr) bool {
+		for _, p := range all {
+			if p.Contains(a) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, p := range all {
+		first := p.Masked().Addr()
+		last := lastAddr(p)
+		for _, a := range []netip.Addr{first, last} {
+			if !IsSpecialPurpose(a) {
+				t.Errorf("%v: border %v not special", p, a)
+			}
+		}
+		for _, a := range []netip.Addr{first.Prev(), last.Next()} {
+			if a.IsValid() && IsSpecialPurpose(a) != anyContains(a) {
+				t.Errorf("%v: outside neighbour %v: special = %v, want %v", p, a, IsSpecialPurpose(a), anyContains(a))
+			}
+		}
+	}
+}
+
+// lastAddr returns the highest address in p.
+func lastAddr(p netip.Prefix) netip.Addr {
+	p = p.Masked()
+	b := p.Addr().AsSlice()
+	for i := p.Bits(); i < len(b)*8; i++ {
+		b[i/8] |= 1 << (7 - i%8)
+	}
+	a, _ := netip.AddrFromSlice(b)
+	return a
 }
 
 func TestIsPrivateAndLoopback(t *testing.T) {

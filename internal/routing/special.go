@@ -2,11 +2,12 @@ package routing
 
 import "net/netip"
 
-// specialPurpose lists the IANA special-purpose registries (RFC 6890)
-// relevant to the experiment: addresses in these blocks are excluded from
-// targeting (§3.1) and are treated as bogons by borders that filter them.
-var specialPurpose = func() []netip.Prefix {
-	raw := []string{
+// specialV4 and specialV6 list the IANA special-purpose registries
+// (RFC 6890) relevant to the experiment, one list per address family:
+// addresses in these blocks are excluded from targeting (§3.1) and are
+// treated as bogons by borders that filter them.
+var (
+	specialV4 = parsePrefixes(
 		// IPv4 (RFC 6890 and successors)
 		"0.0.0.0/8",          // "this network"
 		"10.0.0.0/8",         // private
@@ -24,7 +25,8 @@ var specialPurpose = func() []netip.Prefix {
 		"224.0.0.0/4",        // multicast
 		"240.0.0.0/4",        // reserved
 		"255.255.255.255/32", // limited broadcast
-		// IPv6
+	)
+	specialV6 = parsePrefixes(
 		"::1/128",       // loopback
 		"::/128",        // unspecified
 		"::ffff:0:0/96", // IPv4-mapped
@@ -36,20 +38,30 @@ var specialPurpose = func() []netip.Prefix {
 		"fc00::/7",      // unique local
 		"fe80::/10",     // link local
 		"ff00::/8",      // multicast
-	}
+	)
+)
+
+func parsePrefixes(raw ...string) []netip.Prefix {
 	out := make([]netip.Prefix, len(raw))
 	for i, s := range raw {
 		out[i] = netip.MustParsePrefix(s)
 	}
 	return out
-}()
+}
 
 // IsSpecialPurpose reports whether addr falls in an IANA special-purpose
 // block (RFC 6890): private, loopback, documentation, multicast, etc.
+// Only the address's own family is scanned: a prefix never contains an
+// address of the other family, and an IPv4-mapped IPv6 address (not
+// Is4) meets the IPv6 list, where ::ffff:0:0/96 catches it.
 //
 //doors:hotpath
 func IsSpecialPurpose(addr netip.Addr) bool {
-	for _, p := range specialPurpose {
+	list := specialV6
+	if addr.Is4() {
+		list = specialV4
+	}
+	for _, p := range list {
 		if p.Contains(addr) {
 			return true
 		}

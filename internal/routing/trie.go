@@ -6,6 +6,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -34,15 +35,17 @@ type Trie struct {
 // Len reports the number of inserted prefixes.
 func (t *Trie) Len() int { return t.n }
 
-func addrBit(a netip.Addr, i int) int {
-	b := a.As16()
+// addrWords returns addr's bits left-aligned in two words: an IPv4
+// address fills the top 32 bits of hi, anything else (IPv6, mapped
+// IPv4, the zero Addr) its 16-byte form. The trie walks these words
+// one bit at a time, so each walk converts the address once.
+func addrWords(a netip.Addr) (hi, lo uint64) {
 	if a.Is4() {
-		b = netip.AddrFrom16(a.As16()).As16()
-		// For IPv4, index from the start of the 4-byte form.
-		b4 := a.As4()
-		return int(b4[i/8]>>(7-i%8)) & 1
+		b := a.As4()
+		return uint64(binary.BigEndian.Uint32(b[:])) << 32, 0
 	}
-	return int(b[i/8]>>(7-i%8)) & 1
+	b := a.As16()
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 }
 
 // Insert maps prefix to asn, replacing any previous mapping for the exact
@@ -54,9 +57,10 @@ func (t *Trie) Insert(prefix netip.Prefix, asn ASN) {
 		root = &t.v4
 	}
 	node := root
-	a := prefix.Addr()
+	hi, lo := addrWords(prefix.Addr())
 	for i := 0; i < prefix.Bits(); i++ {
-		bit := addrBit(a, i)
+		bit := hi >> 63
+		hi, lo = hi<<1|lo>>63, lo<<1
 		if node.child[bit] == nil {
 			node.child[bit] = &trieNode{}
 		}
@@ -80,15 +84,20 @@ func (t *Trie) Lookup(addr netip.Addr) (ASN, bool) {
 		root = &t.v4
 		bits = 32
 	}
+	hi, lo := addrWords(addr)
 	node := root
 	var best ASN
 	found := false
 	if node.set {
 		best, found = node.val, true
 	}
-	for i := 0; i < bits && node != nil; i++ {
-		node = node.child[addrBit(addr, i)]
-		if node != nil && node.set {
+	for i := 0; i < bits; i++ {
+		node = node.child[hi>>63]
+		if node == nil {
+			break
+		}
+		hi, lo = hi<<1|lo>>63, lo<<1
+		if node.set {
 			best, found = node.val, true
 		}
 	}

@@ -27,10 +27,33 @@ import (
 // EncodeAddr renders an address as a DNS label ("v4-198-51-100-7",
 // "v6-2001-db8--53").
 func EncodeAddr(a netip.Addr) string {
+	var b [48]byte
+	return string(appendAddrLabel(b[:0], a))
+}
+
+// appendAddrLabel appends EncodeAddr(a) to buf: the family tag, then
+// the address text with each '.' (IPv4) or ':' (IPv6) rewritten to '-'
+// in place.
+func appendAddrLabel(buf []byte, a netip.Addr) []byte {
+	sep := byte(':')
 	if a.Is4() {
-		return "v4-" + strings.ReplaceAll(a.String(), ".", "-")
+		buf = append(buf, "v4-"...)
+		sep = '.'
+	} else {
+		buf = append(buf, "v6-"...)
 	}
-	return "v6-" + strings.ReplaceAll(a.String(), ":", "-")
+	at := len(buf)
+	if a.IsValid() {
+		buf = a.AppendTo(buf)
+	} else {
+		buf = append(buf, "invalid IP"...) // a.String(); AppendTo writes nothing
+	}
+	for i := at; i < len(buf); i++ {
+		if buf[i] == sep {
+			buf[i] = '-'
+		}
+	}
+	return buf
 }
 
 // DecodeAddr parses a label produced by EncodeAddr.
@@ -88,14 +111,63 @@ func zoneFor(kind ProbeKind) dnswire.Name {
 
 // EncodeQName builds the experiment query name.
 func EncodeQName(ts time.Duration, src, dst netip.Addr, asn routing.ASN, kw string, kind ProbeKind) dnswire.Name {
-	return dnswire.NewName(
-		strconv.FormatInt(int64(ts), 10),
-		EncodeAddr(src),
-		EncodeAddr(dst),
-		strconv.FormatUint(uint64(asn), 10),
-		kw,
-	) + "." + zoneFor(kind)
+	var b [128]byte
+	return dnswire.Name(appendQName(b[:0], ts, src, dst, asn, kw, kind))
 }
+
+// appendQName appends the presentation form of the experiment query
+// name, ts.src.dst.asn.kw.zone, to buf.
+func appendQName(buf []byte, ts time.Duration, src, dst netip.Addr, asn routing.ASN, kw string, kind ProbeKind) []byte {
+	buf = strconv.AppendInt(buf, int64(ts), 10)
+	buf = append(buf, '.')
+	buf = appendAddrLabel(buf, src)
+	buf = append(buf, '.')
+	buf = appendAddrLabel(buf, dst)
+	buf = append(buf, '.')
+	buf = strconv.AppendUint(buf, uint64(asn), 10)
+	buf = append(buf, '.')
+	buf = append(buf, kw...)
+	buf = append(buf, '.')
+	buf = append(buf, zoneFor(kind)...)
+	return buf
+}
+
+// appendQNameWire appends the wire form of EncodeQName(ts, src, dst,
+// asn, kw, kind) to buf — length-prefixed labels and the root byte —
+// without building the name as a string. It writes the presentation
+// form after one placeholder byte, then turns each '.' into the next
+// label's length. ok is false where packing the name would fail (an
+// empty label, a label over 63 octets, a name over 255); the appended
+// bytes are then garbage.
+func appendQNameWire(buf []byte, ts time.Duration, src, dst netip.Addr, asn routing.ASN, kw string, kind ProbeKind) (_ []byte, ok bool) {
+	start := len(buf)
+	buf = append(buf, 0) // the first label's length, set below
+	buf = appendQName(buf, ts, src, dst, asn, kw, kind)
+	// The wire form adds the root byte to these len(buf)-start bytes.
+	if len(buf)-start+1 > maxNameOctets {
+		return buf, false
+	}
+	lenAt := start
+	for i := start + 1; i <= len(buf); i++ {
+		if i < len(buf) && buf[i] != '.' {
+			continue
+		}
+		l := i - lenAt - 1
+		if l == 0 || l > maxLabelOctets {
+			return buf, false
+		}
+		buf[lenAt] = byte(l)
+		lenAt = i
+	}
+	buf = append(buf, 0) // the root
+	return buf, true
+}
+
+// RFC 1035 §3.1 limits, as dnswire's packer enforces them.
+const (
+	maxNameOctets  = 255 // octets of a wire-form name
+	maxLabelOctets = 63  // octets of one label
+)
 
 // Decoded is a parsed experiment query name.
 type Decoded struct {

@@ -1,9 +1,11 @@
 package scanner
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -299,8 +301,9 @@ type Scanner struct {
 	followed map[netip.Addr]bool
 	optOut   []netip.Prefix
 	plans    []probePlan
-	nameBuf  []byte // scratch: wire-form probe name
-	msgBuf   []byte // scratch: packed query message
+	hitIndex []netip.Prefix // sorted Cfg.V6HitList keys; see v6HitIndex
+	nameBuf  []byte         // scratch: wire-form probe name
+	msgBuf   []byte         // scratch: packed query message
 }
 
 // New creates a scanner on host (whose AS must lack OSAV) monitoring
@@ -383,17 +386,21 @@ const (
 
 // admitVerdict is the one definition of the admission predicate, in
 // filter order: batch Admit, the campaign engines' streaming admission,
-// and the fold engine's target-stream re-derivation all reach it.
-func (s *Scanner) admitVerdict(a netip.Addr) admitVerdict {
+// and the fold engine's target-stream re-derivation all reach it. The
+// routing check's single lookup also yields the origin AS an admitted
+// target is recorded with.
+func (s *Scanner) admitVerdict(a netip.Addr) (admitVerdict, routing.ASN) {
+	if routing.IsSpecialPurpose(a) {
+		return admitSpecial, 0
+	}
+	origin := s.Reg.OriginOf(a)
 	switch {
-	case routing.IsSpecialPurpose(a):
-		return admitSpecial
-	case !s.Reg.Routed(a):
-		return admitUnrouted
+	case origin == nil:
+		return admitUnrouted, 0
 	case s.optedOut(a):
-		return admitOptOut
+		return admitOptOut, 0
 	default:
-		return admitOK
+		return admitOK, origin.ASN
 	}
 }
 
@@ -401,7 +408,8 @@ func (s *Scanner) admitVerdict(a netip.Addr) admitVerdict {
 // recording the outcome: the target list grows on admission, the stats
 // count either way.
 func (s *Scanner) AdmitOne(a netip.Addr) {
-	switch s.admitVerdict(a) {
+	v, asn := s.admitVerdict(a)
+	switch v {
 	case admitSpecial:
 		s.Stats.ExcludedSpecial++
 	case admitUnrouted:
@@ -409,7 +417,7 @@ func (s *Scanner) AdmitOne(a netip.Addr) {
 	case admitOptOut:
 		s.Stats.ExcludedOptOut++
 	default:
-		s.Targets = append(s.Targets, Target{Addr: a, ASN: s.Reg.OriginOf(a).ASN})
+		s.Targets = append(s.Targets, Target{Addr: a, ASN: asn})
 		s.Stats.TargetsAdmitted++
 	}
 }
@@ -421,10 +429,11 @@ func (s *Scanner) AdmitOne(a netip.Addr) {
 // slice. It reflects the scanner's opt-out state at call time, which
 // for a fresh planner is admission-time state (empty).
 func (s *Scanner) AdmitCheck(a netip.Addr) (Target, bool) {
-	if s.admitVerdict(a) != admitOK {
+	v, asn := s.admitVerdict(a)
+	if v != admitOK {
 		return Target{}, false
 	}
-	return Target{Addr: a, ASN: s.Reg.OriginOf(a).ASN}, true
+	return Target{Addr: a, ASN: asn}, true
 }
 
 // SealRuns seals the observation buffers into canonically sorted runs
@@ -445,6 +454,15 @@ func (s *Scanner) targetRand(a netip.Addr) *rand.Rand {
 	hi, lo := detrand.AddrWords(a)
 	return detrand.Rand(s.seed, hi, lo, saltSources)
 }
+
+// Fixed spoofed sources (§3.2): the private/unique-local and loopback
+// addresses every target is probed from.
+var (
+	privateSrc4  = netip.MustParseAddr("192.168.0.10")
+	privateSrc6  = netip.MustParseAddr("fc00::10")
+	loopbackSrc4 = netip.MustParseAddr("127.0.0.1")
+	loopbackSrc6 = netip.MustParseAddr("::1")
+)
 
 // SourcesFor generates the spoofed sources for a target (§3.2): up to
 // MaxOtherPrefix other-prefix addresses, one same-prefix address, the
@@ -467,30 +485,17 @@ func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 	// name /64s far beyond what blind low-to-high enumeration reaches).
 	var candidates []netip.Prefix
 	seen := make(map[netip.Prefix]bool)
-	if v6 && len(s.Cfg.V6HitList) > 0 {
-		var hot []netip.Prefix
-		for sub := range s.Cfg.V6HitList {
-			if sub == own {
-				continue
-			}
-			for _, p := range prefixes {
-				if p.Contains(sub.Addr()) {
-					hot = append(hot, sub)
-					break
-				}
-			}
-		}
-		sort.Slice(hot, func(i, j int) bool { return hot[i].Addr().Less(hot[j].Addr()) })
-		for _, sub := range hot {
-			if !seen[sub] {
+	if v6 {
+		for _, sub := range hitListIn(s.v6HitIndex(), prefixes) {
+			if sub != own && !seen[sub] {
 				seen[sub] = true
 				candidates = append(candidates, sub)
 			}
 		}
 	}
 	for _, p := range prefixes {
-		for _, sub := range routing.EnumerateSubnets(p, s.Cfg.MaxOtherPrefix+1) {
-			if sub != own && !seen[sub] {
+		for i := range routing.SubnetCount(p, s.Cfg.MaxOtherPrefix+1) {
+			if sub := routing.NthSubnet(p, i); sub != own && !seen[sub] {
 				seen[sub] = true
 				candidates = append(candidates, sub)
 			}
@@ -513,17 +518,63 @@ func (s *Scanner) SourcesFor(t Target) []netip.Addr {
 	}
 
 	if v6 {
-		sources = append(sources, netip.MustParseAddr("fc00::10"))
+		sources = append(sources, privateSrc6)
 	} else {
-		sources = append(sources, netip.MustParseAddr("192.168.0.10"))
+		sources = append(sources, privateSrc4)
 	}
 	sources = append(sources, t.Addr) // destination-as-source
 	if v6 {
-		sources = append(sources, netip.MustParseAddr("::1"))
+		sources = append(sources, loopbackSrc6)
 	} else {
-		sources = append(sources, netip.MustParseAddr("127.0.0.1"))
+		sources = append(sources, loopbackSrc4)
 	}
 	return sources
+}
+
+// v6HitIndex returns the keys of Cfg.V6HitList in comparePrefix order,
+// built on first use, so SourcesFor finds an AS's hit-listed /64s by
+// binary search instead of ranging over the whole map for every IPv6
+// target. The index is built once per scanner: the hit list must not
+// change after the scanner's first IPv6 SourcesFor call.
+func (s *Scanner) v6HitIndex() []netip.Prefix {
+	if s.hitIndex == nil && len(s.Cfg.V6HitList) > 0 {
+		idx := make([]netip.Prefix, 0, len(s.Cfg.V6HitList))
+		for sub := range s.Cfg.V6HitList {
+			idx = append(idx, sub)
+		}
+		slices.SortFunc(idx, comparePrefix)
+		s.hitIndex = idx
+	}
+	return s.hitIndex
+}
+
+// comparePrefix orders prefixes by address, then by length.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
+}
+
+// hitListIn returns the entries of the sorted hit-list index whose
+// address lies in any of prefixes, in index order and without repeats.
+// The addresses a prefix covers are contiguous in the index, so each
+// prefix's entries are one run, found by binary search.
+func hitListIn(idx, prefixes []netip.Prefix) []netip.Prefix {
+	var out []netip.Prefix
+	for _, p := range prefixes {
+		first := p.Masked().Addr()
+		lo := sort.Search(len(idx), func(i int) bool { return !idx[i].Addr().Less(first) })
+		hi := lo + sort.Search(len(idx)-lo, func(k int) bool { return !p.Contains(idx[lo+k].Addr()) })
+		if len(prefixes) == 1 {
+			return idx[lo:hi]
+		}
+		out = append(out, idx[lo:hi]...)
+	}
+	// Several prefixes: their runs may come in any order and, where
+	// the prefixes nest, overlap.
+	slices.SortFunc(out, comparePrefix)
+	return slices.Compact(out)
 }
 
 // Plan computes every admitted target's spoofed-source set and probe-
@@ -676,23 +727,30 @@ func (s *Scanner) sendPlanned(now time.Duration, pi, j int) {
 // This is the general path used by follow-up probes and by campaign
 // phases that schedule their own probe sets; scheduled main probes go
 // through sendPlanned. IDs and the encoded name derive from the probe's
-// identity, so the emission is shard-invariant.
+// identity, so the emission is shard-invariant. The query is the one
+// dnswire.NewQuery(txn, EncodeQName(...), TypeA).Pack() builds, written
+// straight into the scanner's scratch buffers; a name Pack would refuse
+// sends nothing.
+//
+//doors:hotpath
 func (s *Scanner) SendProbe(now time.Duration, src netip.Addr, t Target, kind ProbeKind) {
 	if s.optedOut(t.Addr) {
 		return
 	}
-	name := EncodeQName(now, src, t.Addr, t.ASN, s.Cfg.Keyword, kind)
-	txn, sport := s.probeIDs(now, src, t.Addr, kind)
-	q := dnswire.NewQuery(txn, name, dnswire.TypeA)
-	payload, err := q.Pack()
-	if err != nil {
+	nb, ok := appendQNameWire(s.nameBuf[:0], now, src, t.Addr, t.ASN, s.Cfg.Keyword, kind)
+	s.nameBuf = nb
+	if !ok {
 		return
 	}
-	raw, err := packet.BuildUDP(src, t.Addr, sport, 53, 64, payload)
+	txn, sport := s.probeIDs(now, src, t.Addr, kind)
+	s.msgBuf = dnswire.AppendQuery(s.msgBuf[:0], txn, nb, dnswire.TypeA)
+	//lint:allow hotalloc -- packet serialization hands ownership of the raw bytes to the simulated network; reusing that buffer would corrupt in-flight frames
+	raw, err := packet.BuildUDP(src, t.Addr, sport, 53, 64, s.msgBuf)
 	if err != nil {
 		return
 	}
 	s.Stats.ProbesSent++
+	//lint:allow hotalloc -- Host is the netsim boundary interface; delivery scheduling beyond it is the simulator's cost, not the scanner's
 	s.Host.SendRaw(raw)
 }
 
